@@ -16,9 +16,11 @@ from . import fileio
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
+    DimensionMismatchError,
     DisconnectedError,
     FileFormatError,
     HypergraphError,
+    ModulusMismatchError,
     ParameterError,
 )
 from .families import DEFAULT_EDGE_BUDGET, NikiforovParams, nikiforov, nikiforov_coloring, stock
@@ -201,7 +203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ParameterError, HypergraphError) as err:
+    except (
+        ParameterError, HypergraphError, ModulusMismatchError, DimensionMismatchError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARAMETER
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
 from .hypergraph import Hypergraph, build_hypergraph
 from .symmetry import Coloring
 
@@ -82,7 +82,10 @@ def nikiforov(
             for picked_right in combinations(right, j):
                 edges.append(picked_left + picked_right)
     graph = build_hypergraph(4 * k, params.vertex_count, edges)
-    assert graph.edge_count == expected
+    if graph.edge_count != expected:
+        raise InternalConsistencyError(
+            f"family has {graph.edge_count} edges, formula gives {expected}"
+        )
     return graph
 
 

@@ -18,9 +18,8 @@ from .errors import (
     ModulusMismatchError,
     ParameterError,
 )
-from .hypergraph import Hypergraph, build_hypergraph, incidence_matrix, is_connected
-from .modular import ModMatrix, ModVector, solve_linear_mod
-from .symmetry import Coloring, cyclic_index, verify_coloring
+from .hypergraph import Hypergraph, build_hypergraph, is_connected
+from .symmetry import Coloring, _symmetry_reports, verify_coloring
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,14 @@ def _spread(layout: PowerLayout, values, constant: bool) -> list[int]:
 def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     """Compare c(power) against s * c(base) at uniformity m = s*t.
 
-    Both cyclic indices are computed from scratch; the report also decides
-    the base-side system B x = (t / c(base)) * 1 over Z_m, whose
-    solvability is equivalent to equality. Theory-mandated divisibility
-    relations are asserted before the report is returned.
+    The power is never built. Both indices come from the base incidence
+    B, once over Z_t and once over Z_m: the power's incidence is B with
+    every column repeated s times, which spans the same submodule, so
+    c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
+    The characterization system B x = (t / c(base)) * 1 over Z_m is the
+    order l = s * c(base) of that same basis, whose solvability is
+    equivalent to equality. Theory-mandated divisibility relations are
+    asserted before the report is returned.
     """
     if blowup < 2:
         raise ParameterError(f"blowup must be >= 2, got {blowup}")
@@ -191,25 +194,21 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    base_c = cyclic_index(graph).cyclic_index
-    power, _ = generalized_power(graph, m, blowup)
-    power_c = cyclic_index(power).cyclic_index
+    base, power = _symmetry_reports(graph, (t, m))
+    base_c = base.cyclic_index
+    power_c = power.cyclic_index
     product = blowup * base_c
     if t % base_c:
         raise InternalConsistencyError(
             f"cyclic index {base_c} does not divide uniformity {t}"
         )
-    incidence = incidence_matrix(graph)
-    system = ModMatrix(m, incidence.entries)
-    rhs = ModVector(m, [t // base_c] * incidence.rows)
-    solvable = solve_linear_mod(system, rhs) is not None
     guaranteed = blowup * base_c // gcd(blowup, base_c)
     report = ConjectureReport(
         base_cyclic_index=base_c,
         power_cyclic_index=power_c,
         product=product,
         equality=power_c == product,
-        characterization_solvable=solvable,
+        characterization_solvable=power.divisor_evidence[product] is not None,
         guaranteed_symmetry=guaranteed,
     )
     _assert_report_invariants(report, blowup)

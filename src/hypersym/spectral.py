@@ -7,7 +7,7 @@ operation streams over the edge list instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, pi
+from math import gcd, isfinite, pi
 
 import numpy as np
 
@@ -91,8 +91,8 @@ def power_iteration_rho(
     not reach `tolerance` within `max_iterations`; this happens for some
     spectrally symmetric inputs, where the bracket stalls.
     """
-    if tolerance <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if not (isfinite(tolerance) and tolerance > 0):
+        raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
     if max_iterations < 1:
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
     if not is_connected(graph):

@@ -9,7 +9,7 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
-from .modular import ModMatrix, ModVector, solve_linear_mod
+from .modular import ModMatrix, _SpanBasis
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,15 @@ def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) 
         )
     if symmetry_order < 1 or m % symmetry_order:
         raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
-    target = (m // symmetry_order) % m
-    values = coloring.values
-    return all(sum(values[v - 1] for v in edge) % m == target for edge in graph.edges)
+    return _edge_sums_hit(graph, coloring.values, m, m // symmetry_order)
+
+
+def _edge_sums_hit(graph: Hypergraph, values, modulus: int, target: int) -> bool:
+    """True iff every edge's color sum is `target` mod `modulus`."""
+    target %= modulus
+    return all(
+        sum(values[v - 1] for v in edge) % modulus == target for edge in graph.edges
+    )
 
 
 def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]:
@@ -85,38 +91,64 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
         raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    incidence = incidence_matrix(graph)
-    system = ModMatrix(m, incidence.entries)
-    rhs = ModVector(m, [m // symmetry_order] * incidence.rows)
-    solution = solve_linear_mod(system, rhs)
-    if solution is None:
-        return None
-    witness = Coloring(m, solution.entries)
-    if not verify_coloring(graph, witness, symmetry_order):
-        raise InternalConsistencyError("solver witness fails edge-sum verification")
-    return witness
+    (report,) = _symmetry_reports(graph, (m,))
+    return report.divisor_evidence[symmetry_order]
 
 
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
-    Every divisor of m is decided independently and recorded; the report
-    is self-checked for divisor closure (a witness for l implies one for
-    every divisor of l) before being returned.
+    Every divisor of m is decided and recorded; the report is self-checked
+    for divisor closure (a witness for l implies one for every divisor of
+    l) before being returned.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
-    m = graph.uniformity
-    evidence: dict[int, Optional[Coloring]] = {}
-    for ell in divisors(m):
-        evidence[ell] = is_l_symmetric(graph, ell)
-    solvable = [ell for ell, witness in evidence.items() if witness is not None]
-    for ell in solvable:
-        for d in divisors(ell):
-            if evidence[d] is None:
+    (report,) = _symmetry_reports(graph, (graph.uniformity,))
+    return report
+
+
+def _symmetry_reports(
+    graph: Hypergraph, moduli: Sequence[int]
+) -> list[SymmetryReport]:
+    """One report per modulus q: every divisor l of q, B x = (q/l) * 1 over Z_q.
+
+    B is the incidence matrix of `graph`; witnesses are colorings mod q of
+    its vertices and the report's index is the largest solvable l. With q
+    the uniformity this is the cyclic index. With q = s*t for a t-uniform
+    base it is the cyclic index of the pure blow-up G^(st,s): the power's
+    incidence is B with every column repeated s times, so it spans the
+    same submodule of Z_q^edges, and `lift_single_member` turns each
+    witness into one for the power.
+
+    The caller checks connectivity, once. The incidence is built once;
+    each modulus gets one span basis, and each divisor is one `express`
+    call against it. Witnesses are checked by edge sums, each report for
+    divisor closure.
+    """
+    entries = incidence_matrix(graph).entries
+    reports = []
+    for q in moduli:
+        basis = _SpanBasis(ModMatrix(q, entries))
+        evidence: dict[int, Optional[Coloring]] = {}
+        for ell in divisors(q):
+            x = basis.express([q // ell] * graph.edge_count)
+            if x is None:
+                evidence[ell] = None
+                continue
+            if not _edge_sums_hit(graph, x, q, q // ell):
                 raise InternalConsistencyError(
-                    f"divisor closure violated: order {ell} solvable but {d} is not"
+                    f"order {ell} witness over Z_{q} fails edge-sum verification"
                 )
-    if evidence[1] is None:
-        raise InternalConsistencyError("order 1 must always be solvable")
-    return SymmetryReport(max(solvable), evidence)
+            evidence[ell] = Coloring(q, x)
+        solvable = [ell for ell, witness in evidence.items() if witness is not None]
+        for ell in solvable:
+            for d in divisors(ell):
+                if evidence[d] is None:
+                    raise InternalConsistencyError(
+                        f"divisor closure violated: order {ell} solvable but {d} is not"
+                    )
+        if evidence[1] is None:
+            raise InternalConsistencyError("order 1 must always be solvable")
+        reports.append(SymmetryReport(max(solvable), evidence))
+    return reports

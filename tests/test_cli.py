@@ -149,6 +149,12 @@ def test_rho_nonconvergence(tmp_path, capsys):
     assert "bracket" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_rho_rejects_non_finite_tolerance(c4_file, tol, capsys):
+    assert main(["rho", c4_file, "--tol", tol]) == 4
+    assert capsys.readouterr().err.startswith("error: tolerance")
+
+
 def test_verify_coloring_valid(c4_file, tmp_path, capsys):
     col = tmp_path / "c4.col"
     col.write_text("modulus 2\n1\n0\n1\n0\n")
@@ -167,3 +173,19 @@ def test_verify_coloring_bad_file(c4_file, tmp_path, capsys):
     col = tmp_path / "c4.col"
     col.write_text("modulus 2\n1\n7\n1\n1\n")
     assert main(["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]) == 2
+
+
+def test_verify_coloring_wrong_modulus(c4_file, tmp_path, capsys):
+    col = tmp_path / "c4.col"
+    col.write_text("modulus 3\n1\n0\n1\n0\n")
+    assert main(["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "modulus 3" in err
+
+
+def test_verify_coloring_wrong_length(c4_file, tmp_path, capsys):
+    col = tmp_path / "c4.col"
+    col.write_text("modulus 2\n1\n0\n1\n")
+    assert main(["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 values for 4 vertices" in err

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import hypersym.power
 from hypersym import (
     Coloring,
     DisconnectedError,
@@ -21,6 +22,7 @@ from hypersym import (
     power_cyclic_index_shortcut,
     verify_coloring,
 )
+from hypersym.symmetry import _symmetry_reports
 
 from helpers import random_connected_hypergraph
 
@@ -180,3 +182,40 @@ def test_padded_power_cyclic_index_is_uniformity():
     assert cyclic_index(g).cyclic_index == 5
     report = cyclic_index(g)
     assert all(w is not None for w in report.divisor_evidence.values())
+
+
+def _assert_base_route_matches_built_power(base, s):
+    # oracle: the cyclic index of the power that is actually built
+    m = s * base.uniformity
+    power, layout = generalized_power(base, m, s)
+    built = cyclic_index(power)
+    assert conjecture_check(base, s).power_cyclic_index == built.cyclic_index
+    (over_zm,) = _symmetry_reports(base, (m,))
+    assert over_zm.cyclic_index == built.cyclic_index
+    for ell, witness in over_zm.divisor_evidence.items():
+        assert (witness is None) == (built.divisor_evidence[ell] is None)
+        if witness is not None:
+            assert verify_coloring(power, lift_single_member(layout, witness), ell)
+
+
+def test_power_index_from_base_matches_built_power_random():
+    rng = random.Random(46)
+    for _ in range(300):
+        base = random_connected_hypergraph(rng, rng.choice([2, 3, 4]), n_max=7)
+        _assert_base_route_matches_built_power(base, rng.choice([2, 3, 4, 5]))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_power_index_from_base_matches_built_power_family(s):
+    _assert_base_route_matches_built_power(nikiforov(NikiforovParams(1, 6, 6, 4)), s)
+
+
+def test_conjecture_check_never_builds_the_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjecture_check built the power")
+
+    monkeypatch.setattr(hypersym.power, "generalized_power", refuse)
+    family = nikiforov(NikiforovParams(1, 6, 6, 4))
+    assert conjecture_check(family, 2).power_cyclic_index == 2
+    assert conjecture_check(family, 3).power_cyclic_index == 6
+    assert conjecture_check(cycle(4), 2).power_cyclic_index == 4

@@ -119,6 +119,12 @@ def test_rho_rejects_bad_inputs():
         power_iteration_rho(split)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_rho_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ParameterError):
+        power_iteration_rho(cycle(4), tolerance=tolerance)
+
+
 def test_rho_nonconvergence_reports_bracket():
     with pytest.raises(ConvergenceError) as info:
         power_iteration_rho(path(3), tolerance=1e-8, max_iterations=40)
