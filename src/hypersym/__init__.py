@@ -35,7 +35,6 @@ from .families import (
 )
 from .hypergraph import (
     Hypergraph,
-    IncidenceMatrix,
     build_hypergraph,
     incidence_matrix,
     is_connected,
@@ -84,7 +83,6 @@ __all__ = [
     "Hypergraph",
     "HypergraphError",
     "HypersymError",
-    "IncidenceMatrix",
     "InternalConsistencyError",
     "ModMatrix",
     "ModVector",

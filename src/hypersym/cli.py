@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success (or equality holding),
 10 conjecture violated on this instance (a finding, not an error),
 2 parse failure, 3 disconnected input, 4 bad parameter, 5 enumeration
-budget exceeded, 6 power iteration did not converge.
+budget exceeded, 6 power iteration did not converge, 7 internal
+consistency check failed (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     DisconnectedError,
     FileFormatError,
     HypergraphError,
+    InternalConsistencyError,
     ModulusMismatchError,
     ParameterError,
 )
@@ -34,6 +36,7 @@ EXIT_DISCONNECTED = 3
 EXIT_PARAMETER = 4
 EXIT_BUDGET = 5
 EXIT_NO_CONVERGENCE = 6
+EXIT_INTERNAL = 7
 EXIT_CONJECTURE_FAILS = 10
 
 
@@ -208,6 +211,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARAMETER
+    except InternalConsistencyError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import Iterator
 
-from .errors import FileFormatError
+from .errors import FileFormatError, HypergraphError, ParameterError
 from .hypergraph import Hypergraph, build_hypergraph
 from .power import PowerLayout
 from .symmetry import Coloring
@@ -37,7 +37,13 @@ def _header_value(line: str, number: int, keyword: str) -> int:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse hypergraph text; all failures carry a 1-based line number."""
+    """Parse hypergraph text; all failures carry a 1-based line number.
+
+    Structure is checked by `build_hypergraph` alone, one edge at a time
+    as the generator below yields them, so an error it raises is about
+    the edge on the line yielded last, or about the headers when no edge
+    has been yielded yet.
+    """
     lines = _significant_lines(text)
     try:
         number, line = next(lines)
@@ -49,37 +55,19 @@ def parse_hypergraph(text: str) -> Hypergraph:
     except StopIteration:
         raise FileFormatError("missing 'vertices <n>' line", number)
     vertex_count = _header_value(line, number, "vertices")
-    if uniformity < 2:
-        raise FileFormatError(f"uniformity must be >= 2, got {uniformity}", number)
-    if vertex_count < uniformity:
-        raise FileFormatError(
-            f"vertex count {vertex_count} is below uniformity {uniformity}", number
-        )
-    edges = []
-    seen: dict[tuple[int, ...], int] = {}
-    for number, line in lines:
-        try:
-            edge = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FileFormatError(f"edge line is not all integers: {line!r}", number)
-        if len(edge) != uniformity:
-            raise FileFormatError(
-                f"edge has {len(edge)} vertices, expected {uniformity}", number
-            )
-        if len(set(edge)) != uniformity:
-            raise FileFormatError("edge repeats a vertex", number)
-        if min(edge) < 1 or max(edge) > vertex_count:
-            raise FileFormatError(
-                f"vertex index outside [1, {vertex_count}]", number
-            )
-        key = tuple(sorted(edge))
-        if key in seen:
-            raise FileFormatError(
-                f"duplicate of the edge on line {seen[key]}", number
-            )
-        seen[key] = number
-        edges.append(edge)
-    return build_hypergraph(uniformity, vertex_count, edges)
+
+    def edges() -> Iterator[list[int]]:
+        nonlocal number
+        for number, line in lines:
+            try:
+                yield [int(tok) for tok in line.split()]
+            except ValueError:
+                raise FileFormatError(f"edge line is not all integers: {line!r}", number)
+
+    try:
+        return build_hypergraph(uniformity, vertex_count, edges())
+    except (HypergraphError, ParameterError) as err:
+        raise FileFormatError(str(err), number) from err
 
 
 def format_hypergraph(graph: Hypergraph) -> str:

@@ -37,19 +37,6 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        """Number of edges containing vertex v."""
-        return sum(1 for e in self.edges if v in e)
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Edge-by-vertex 0/1 matrix; entry (e, v) = 1 iff vertex v lies in edge e."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
 
 def build_hypergraph(
     uniformity: int, vertex_count: int, edges: Iterable[Sequence[int]]
@@ -58,7 +45,9 @@ def build_hypergraph(
 
     Each edge must contain exactly `uniformity` distinct vertices in
     [1, vertex_count], and no vertex set may appear twice. Edges are
-    sorted internally and the edge list sorted lexicographically.
+    sorted internally and the edge list sorted lexicographically. Each
+    edge is checked as it is drawn from `edges`, so a caller streaming
+    them knows which edge an error is about.
     """
     if uniformity < 2:
         raise ParameterError(f"uniformity must be >= 2, got {uniformity}")
@@ -92,12 +81,14 @@ def is_connected(graph: Hypergraph) -> bool:
     """True iff every pair of vertices is joined by an alternating walk.
 
     Equivalent to the bipartite vertex-edge incidence graph being
-    connected. Isolated vertices count as disconnected.
+    connected. Isolated vertices count as disconnected. The edges of a
+    connected graph can be ordered so that each meets an earlier one and
+    adds at most m - 1 new vertices, so it has at most k*(m-1) + 1
+    vertices. That bound is tested before any per-vertex state is built,
+    so a huge `vertices` header costs nothing.
     """
     n = graph.vertex_count
-    if n == 1:
-        return True
-    if not graph.edges:
+    if n > graph.edge_count * (graph.uniformity - 1) + 1:
         return False
     neighbors: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for edge in graph.edges:
@@ -114,12 +105,12 @@ def is_connected(graph: Hypergraph) -> bool:
     return len(seen) == n
 
 
-def incidence_matrix(graph: Hypergraph) -> IncidenceMatrix:
-    """Edge-vertex incidence matrix in canonical row and column order."""
+def incidence_matrix(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Edge-by-vertex 0/1 rows in canonical order; entry (e, v) = 1 iff v lies in e."""
     rows = []
     for edge in graph.edges:
         row = [0] * graph.vertex_count
         for v in edge:
             row[v - 1] = 1
         rows.append(tuple(row))
-    return IncidenceMatrix(graph.edge_count, graph.vertex_count, tuple(rows))
+    return tuple(rows)

@@ -114,7 +114,7 @@ def _unit_for(a: int, m: int) -> int:
 
 
 class _SpanBasis:
-    """Echelonized generating set for the column span of a ModMatrix.
+    """Echelonized generating set for the column span of a k x n matrix.
 
     Built by gcd-pivot row reduction over Z_m applied to the transposed
     matrix, with one extra rule that makes membership testing complete
@@ -127,18 +127,22 @@ class _SpanBasis:
     Each basis row carries the coefficient vector that expresses it in
     terms of the original columns, so reducing a target vector to zero
     also yields a solution x with A x = target.
+
+    `rows` are the rows of A, at least one, of equal nonzero length, with
+    entries already in [0, m); callers pass program-built data, and
+    `ModMatrix` is the checked entry point for anything else.
     """
 
-    def __init__(self, matrix: ModMatrix):
-        m = matrix.modulus
-        k, n = matrix.rows, matrix.cols
+    def __init__(self, modulus: int, rows: Sequence[Sequence[int]]):
+        m = modulus
+        k, n = len(rows), len(rows[0])
         self.modulus = m
         self.length = k
         self.width = n
         # Working rows: (vec, coeff) with vec == A @ coeff (mod m).
         work: list[tuple[list[int], list[int]]] = []
         for j in range(n):
-            vec = [matrix.entries[i][j] for i in range(k)]
+            vec = [row[j] for row in rows]
             coeff = [0] * n
             coeff[j] = 1
             work.append((vec, coeff))
@@ -222,7 +226,7 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
         raise DimensionMismatchError(
             f"matrix has {matrix.rows} rows, rhs has {len(rhs)} entries"
         )
-    x = _SpanBasis(matrix).express(rhs.entries)
+    x = _SpanBasis(matrix.modulus, matrix.entries).express(rhs.entries)
     if x is None:
         return None
     witness = ModVector(matrix.modulus, x)

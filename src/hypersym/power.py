@@ -65,13 +65,10 @@ def generalized_power(
     vertex order), then edge blocks in canonical edge order, so the
     construction is deterministic and reproducible.
     """
+    _check_power_parameters(graph, uniformity, blowup)
     t = graph.uniformity
     s = blowup
     m = uniformity
-    if s < 1:
-        raise ParameterError(f"blowup must be >= 1, got {s}")
-    if m < s * t:
-        raise ParameterError(f"uniformity {m} is below blowup * base uniformity {s*t}")
     n, k = graph.vertex_count, graph.edge_count
     pad = m - s * t
     vertex_blocks = tuple(
@@ -110,6 +107,13 @@ def power_cyclic_index_shortcut(
     uniformity. Returns None at the boundary m = s*t, where the caller
     must compute.
     """
+    _check_power_parameters(graph, uniformity, blowup)
+    if uniformity > blowup * graph.uniformity:
+        return uniformity
+    return None
+
+
+def _check_power_parameters(graph: Hypergraph, uniformity: int, blowup: int) -> None:
     t = graph.uniformity
     if blowup < 1:
         raise ParameterError(f"blowup must be >= 1, got {blowup}")
@@ -117,9 +121,6 @@ def power_cyclic_index_shortcut(
         raise ParameterError(
             f"uniformity {uniformity} is below blowup * base uniformity {blowup * t}"
         )
-    if uniformity > blowup * t:
-        return uniformity
-    return None
 
 
 def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:
@@ -134,8 +135,6 @@ def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:
             f"base coloring modulus {base.modulus} != base uniformity "
             f"{layout.base_uniformity}"
         )
-    if len(base.values) != len(layout.vertex_blocks):
-        raise DimensionMismatchError("coloring length != base vertex count")
     return Coloring(layout.uniformity, _spread(layout, base.values, constant=True))
 
 
@@ -151,8 +150,6 @@ def lift_single_member(layout: PowerLayout, base: Coloring) -> Coloring:
             f"base coloring modulus {base.modulus} != power uniformity "
             f"{layout.uniformity}"
         )
-    if len(base.values) != len(layout.vertex_blocks):
-        raise DimensionMismatchError("coloring length != base vertex count")
     return Coloring(layout.uniformity, _spread(layout, base.values, constant=False))
 
 
@@ -163,6 +160,8 @@ def blowup_symmetry_coloring(layout: PowerLayout) -> Coloring:
 
 
 def _spread(layout: PowerLayout, values, constant: bool) -> list[int]:
+    if len(values) != len(layout.vertex_blocks):
+        raise DimensionMismatchError("coloring length != base vertex count")
     total = len(layout.vertex_blocks) * layout.blowup + sum(
         len(b) for b in layout.edge_blocks
     )

@@ -16,11 +16,10 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedError,
     InternalConsistencyError,
-    ModulusMismatchError,
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .symmetry import Coloring
+from .symmetry import Coloring, _check_order
 
 # Exact-arithmetic monotonicity of the Collatz-Wielandt bracket can wobble
 # by rounding noise; violations beyond this relative slack are a bug.
@@ -147,18 +146,7 @@ def verify_similarity(
     so the maximum deviation is numerically zero; any violated edge shows
     up as a deviation bounded away from zero.
     """
-    m = graph.uniformity
-    if coloring.modulus != m:
-        raise ModulusMismatchError(
-            f"coloring modulus {coloring.modulus} != uniformity {m}"
-        )
-    if len(coloring.values) != graph.vertex_count:
-        raise DimensionMismatchError(
-            f"coloring has {len(coloring.values)} values for "
-            f"{graph.vertex_count} vertices"
-        )
-    if symmetry_order < 1 or m % symmetry_order:
-        raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
+    m = _check_order(graph, symmetry_order, coloring)
     phases = np.exp(2j * pi * np.array(coloring.values) / m)
     rotation = complex(np.exp(2j * pi / symmetry_order))
     max_deviation = 0.0

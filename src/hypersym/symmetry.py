@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
-from .modular import ModMatrix, _SpanBasis
+from .modular import _SpanBasis
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,30 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) -> bool:
-    """True iff every edge's color sum is m/l mod m."""
+def _check_order(
+    graph: Hypergraph, symmetry_order: int, coloring: Optional[Coloring] = None
+) -> int:
+    """Return the uniformity m after checking that l divides m and, when a
+    coloring is given, that it is a map from the vertices into Z_m."""
     m = graph.uniformity
-    if coloring.modulus != m:
-        raise ModulusMismatchError(
-            f"coloring modulus {coloring.modulus} != uniformity {m}"
-        )
-    if len(coloring.values) != graph.vertex_count:
-        raise DimensionMismatchError(
-            f"coloring has {len(coloring.values)} values for "
-            f"{graph.vertex_count} vertices"
-        )
+    if coloring is not None:
+        if coloring.modulus != m:
+            raise ModulusMismatchError(
+                f"coloring modulus {coloring.modulus} != uniformity {m}"
+            )
+        if len(coloring.values) != graph.vertex_count:
+            raise DimensionMismatchError(
+                f"coloring has {len(coloring.values)} values for "
+                f"{graph.vertex_count} vertices"
+            )
     if symmetry_order < 1 or m % symmetry_order:
         raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
+    return m
+
+
+def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) -> bool:
+    """True iff every edge's color sum is m/l mod m."""
+    m = _check_order(graph, symmetry_order, coloring)
     return _edge_sums_hit(graph, coloring.values, m, m // symmetry_order)
 
 
@@ -86,9 +96,7 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     Decides solvability of B x = (m/l) * 1 over Z_m exactly; returns None
     only when no coloring exists.
     """
-    m = graph.uniformity
-    if symmetry_order < 1 or m % symmetry_order:
-        raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
+    m = _check_order(graph, symmetry_order)
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
     (report,) = _symmetry_reports(graph, (m,))
@@ -121,15 +129,16 @@ def _symmetry_reports(
     same submodule of Z_q^edges, and `lift_single_member` turns each
     witness into one for the power.
 
-    The caller checks connectivity, once. The incidence is built once;
-    each modulus gets one span basis, and each divisor is one `express`
-    call against it. Witnesses are checked by edge sums, each report for
+    The caller checks connectivity, once; a connected graph has an edge.
+    The incidence is built once and, being 0/1, is already reduced for
+    every q >= 2; each modulus gets one span basis, and each divisor is
+    one `express` call against it. Witnesses are checked by edge sums, each report for
     divisor closure.
     """
-    entries = incidence_matrix(graph).entries
+    rows = incidence_matrix(graph)
     reports = []
     for q in moduli:
-        basis = _SpanBasis(ModMatrix(q, entries))
+        basis = _SpanBasis(q, rows)
         evidence: dict[int, Optional[Coloring]] = {}
         for ell in divisors(q):
             x = basis.express([q // ell] * graph.edge_count)

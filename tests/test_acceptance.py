@@ -104,7 +104,7 @@ def test_criterion_3_equality_matches_solvability(capsys):
         power_c = cyclic_index(power).cyclic_index
         inc = incidence_matrix(graph)
         witness = solve_linear_mod(
-            ModMatrix(m, inc.entries), ModVector(m, [t // base_c] * inc.rows)
+            ModMatrix(m, inc), ModVector(m, [t // base_c] * len(inc))
         )
         if (power_c == s * base_c) != (witness is not None):
             exceptions += 1

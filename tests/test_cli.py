@@ -189,3 +189,29 @@ def test_verify_coloring_wrong_length(c4_file, tmp_path, capsys):
     assert main(["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3 values for 4 vertices" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["conjecture", "--s", "2"], ["rho"]]
+)
+def test_huge_vertex_header_is_disconnected_without_per_vertex_state(
+    tmp_path, command, capsys
+):
+    # one edge cannot connect 10^12 vertices; answering must not cost
+    # memory or time in proportion to the header
+    target = tmp_path / "huge.hg"
+    target.write_text("uniform 2\nvertices 1000000000000\n1 2\n")
+    assert main([command[0], str(target), *command[1:]]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_error_has_its_own_exit_code(c4_file, monkeypatch, capsys):
+    from hypersym import InternalConsistencyError
+
+    def broken(graph):
+        raise InternalConsistencyError("order 1 must always be solvable")
+
+    monkeypatch.setattr("hypersym.cli.cyclic_index", broken)
+    assert main(["analyze", c4_file]) == 7
+    err = capsys.readouterr().err
+    assert err == "error: order 1 must always be solvable\n"

@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypersym import FileFormatError, cycle, generalized_power, single_edge
+from hypersym import (
+    FileFormatError,
+    HypergraphError,
+    ParameterError,
+    build_hypergraph,
+    cycle,
+    generalized_power,
+    single_edge,
+)
 from hypersym.fileio import (
     format_coloring,
     format_hypergraph,
@@ -93,3 +103,63 @@ def test_layout_format_lists_blocks():
     assert "edge 1: 5" in text
     _, layout = generalized_power(single_edge(2), 4, 2)
     assert "edge" not in format_layout(layout)
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """Distinct edges, some with an injected fault, under headers that are
+    sometimes invalid."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(m, 9))
+    subsets = st.permutations(range(1, n + 1)).map(lambda p: list(p[:m]))
+    edges = draw(st.lists(subsets, max_size=8, unique_by=frozenset))
+    for i, edge in enumerate(edges):
+        fault = draw(st.sampled_from([None] * 6 + ["size", "repeat", "range", "dup"]))
+        if fault == "size":
+            edges[i] = edge[:-1] if draw(st.booleans()) else edge + [n + 1]
+        elif fault == "repeat":
+            edge[-1] = edge[0]
+        elif fault == "range":
+            edge[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0, -1, n + 1]))
+        elif fault == "dup" and i:
+            edges[i] = draw(st.permutations(edges[draw(st.integers(0, i - 1))]))
+    header_fault = draw(st.sampled_from([None] * 8 + ["uniform", "vertices"]))
+    if header_fault == "uniform":
+        m = draw(st.integers(-1, 1))
+    elif header_fault == "vertices":
+        n = m - draw(st.integers(1, 2))
+    return m, n, edges
+
+
+def _first_bad_edge(m, n, edges):
+    """Index of the first edge `build_hypergraph` rejects; -1 for the headers."""
+    for end in range(len(edges) + 1):
+        try:
+            build_hypergraph(m, n, edges[:end])
+        except (HypergraphError, ParameterError):
+            return end - 1
+    return None
+
+
+@settings(deadline=None)
+@given(edge_lists_with_faults(), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_parser_reports_the_builders_verdict_at_the_right_line(case, padding):
+    m, n, edges = case
+    lines = ["# generated", f"uniform {m}", f"vertices {n}"]
+    edge_line = []
+    for edge, pad in zip(edges, padding):
+        if pad:
+            lines.append("")
+        lines.append(" ".join(str(v) for v in edge))
+        edge_line.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    bad = _first_bad_edge(m, n, edges)
+    if bad is None:
+        graph = build_hypergraph(m, n, edges)
+        assert parse_hypergraph(text) == graph
+        canonical = format_hypergraph(graph)
+        assert format_hypergraph(parse_hypergraph(canonical)) == canonical
+    else:
+        with pytest.raises(FileFormatError) as info:
+            parse_hypergraph(text)
+        assert info.value.line == (edge_line[bad] if bad >= 0 else 3)

@@ -85,17 +85,17 @@ def test_connectivity_matches_transitive_closure():
 def test_incidence_triangle():
     g = build_hypergraph(2, 3, [[1, 2], [2, 3], [1, 3]])
     inc = incidence_matrix(g)
-    assert inc.entries == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    assert inc == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 def test_incidence_single_edge():
     g = build_hypergraph(4, 4, [[1, 2, 3, 4]])
-    assert incidence_matrix(g).entries == ((1, 1, 1, 1),)
+    assert incidence_matrix(g) == ((1, 1, 1, 1),)
 
 
 def test_incidence_path():
     g = build_hypergraph(2, 3, [[1, 2], [2, 3]])
-    assert incidence_matrix(g).entries == ((1, 1, 0), (0, 1, 1))
+    assert incidence_matrix(g) == ((1, 1, 0), (0, 1, 1))
 
 
 def test_incidence_row_sums_equal_uniformity():
@@ -103,8 +103,9 @@ def test_incidence_row_sums_equal_uniformity():
     for _ in range(100):
         g = random_hypergraph(rng, rng.choice([2, 3, 4]), n_max=8)
         inc = incidence_matrix(g)
-        assert inc.rows == g.edge_count and inc.cols == g.vertex_count
-        for row in inc.entries:
+        assert len(inc) == g.edge_count
+        for row in inc:
+            assert len(row) == g.vertex_count
             assert sum(row) == g.uniformity
             assert set(row) <= {0, 1}
 

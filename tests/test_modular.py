@@ -60,7 +60,7 @@ def test_solve_single_entry():
 def test_triangle_mod2_unsolvable():
     # oracle first: enumerate all 8 vectors in Z_2^3
     triangle = build_hypergraph(2, 3, [[1, 2], [2, 3], [1, 3]])
-    entries = incidence_matrix(triangle).entries
+    entries = incidence_matrix(triangle)
     oracle = any(
         all(sum(r * v for r, v in zip(row, x)) % 2 == 1 for row in entries)
         for x in itertools.product(range(2), repeat=3)
@@ -72,7 +72,7 @@ def test_triangle_mod2_unsolvable():
 
 def test_square_cycle_mod2_solvable():
     square = build_hypergraph(2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])
-    a = ModMatrix(2, incidence_matrix(square).entries)
+    a = ModMatrix(2, incidence_matrix(square))
     rhs = ModVector(2, [1, 1, 1, 1])
     x = solve_linear_mod(a, rhs)
     assert x is not None and solves(a, x, rhs)

@@ -133,8 +133,8 @@ def test_single_member_lift_of_base_system_solution():
         c = report.base_cyclic_index
         inc = incidence_matrix(base)
         x = solve_linear_mod(
-            ModMatrix(m, inc.entries),
-            ModVector(m, [base.uniformity // c] * inc.rows),
+            ModMatrix(m, inc),
+            ModVector(m, [base.uniformity // c] * len(inc)),
         )
         assert x is not None
         power, layout = generalized_power(base, m, s)
