@@ -9,6 +9,7 @@ power equal s times the cyclic index of the base?
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     ModulusMismatchError,
     ParameterError,
 )
-from .hypergraph import Hypergraph, build_hypergraph, is_connected
+from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _symmetry_reports, verify_coloring
 
 
@@ -78,16 +79,15 @@ def generalized_power(
     edge_blocks = tuple(
         tuple(range(base + j * pad + 1, base + (j + 1) * pad + 1)) for j in range(k)
     )
-    edges = []
-    for j, edge in enumerate(graph.edges):
-        members: list[int] = []
-        for v in edge:
-            members.extend(vertex_blocks[v - 1])
-        members.extend(edge_blocks[j])
-        edges.append(sorted(members))
-    power = build_hypergraph(m, n * s + k * pad, edges)
-    if power.edges != tuple(tuple(e) for e in edges):
+    # Blocks grow with the base vertex and padding comes last, so each
+    # power edge is increasing and the base edge order carries over.
+    edges = tuple(
+        tuple(chain.from_iterable(vertex_blocks[v - 1] for v in edge)) + edge_blocks[j]
+        for j, edge in enumerate(graph.edges)
+    )
+    if any(a >= b for a, b in zip(edges, edges[1:])):
         raise InternalConsistencyError("power edges left canonical order")
+    power = Hypergraph(m, n * s + k * pad, edges)
     layout = PowerLayout(t, s, m, vertex_blocks, edge_blocks)
     if pad == 0 and s > 1:
         # self-check: the single-member all-ones coloring always witnesses

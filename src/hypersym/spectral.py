@@ -1,15 +1,16 @@
 """Adjacency-tensor numerics: spectral radius and similarity certificates.
 
 The adjacency tensor is never materialized (it has n^m entries); every
-operation streams over the edge list instead.
+operation works on the (k, m) array of 0-based edge members instead.
+numpy is imported inside the functions, so the exact commands, which
+never call them, do not pay for loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isfinite, pi
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConvergenceError,
@@ -20,6 +21,9 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _check_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exact-arithmetic monotonicity of the Collatz-Wielandt bracket can wobble
 # by rounding noise; violations beyond this relative slack are a bug.
@@ -60,18 +64,39 @@ def apply_adjacency(graph: Hypergraph, x) -> np.ndarray:
     other edge members; the (m-1)! symmetric orderings cancel the
     1/(m-1)! entry weight.
     """
+    import numpy as np
+
     vec = np.asarray(x)
     if vec.shape != (graph.vertex_count,):
         raise DimensionMismatchError(
             f"expected a vector of length {graph.vertex_count}, got shape {vec.shape}"
         )
-    out = np.zeros(graph.vertex_count, dtype=np.result_type(vec.dtype, np.float64))
-    for edge in graph.edges:
-        idx = np.array(edge) - 1
-        vals = vec[idx]
-        prefix = np.concatenate(([1], np.cumprod(vals[:-1])))
-        suffix = np.concatenate((np.cumprod(vals[:0:-1])[::-1], [1]))
-        out[idx] += prefix * suffix
+    return _contract(_edge_index(graph), vec, graph.vertex_count)
+
+
+def _edge_index(graph: Hypergraph) -> np.ndarray:
+    """The edges as a (k, m) intp array of 0-based vertex indices."""
+    import numpy as np
+
+    return np.array(graph.edges, dtype=np.intp).reshape(graph.edge_count, graph.uniformity) - 1
+
+
+def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """apply_adjacency on a prepared edge index, without division.
+
+    Each slot's product over the other members is its prefix product
+    times its suffix product, so zeros in x are safe. Contributions are
+    added edge by edge, in edge order, into a float (or complex) vector.
+    """
+    import numpy as np
+
+    vals = x[edges]
+    # integer ones: for float32 x, prefix and suffix and their product are float64
+    ones = np.ones((len(edges), 1), dtype=np.intp)
+    prefix = np.concatenate((ones, np.cumprod(vals[:, :-1], axis=1)), axis=1)
+    suffix = np.concatenate((np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
+    out = np.zeros(n, dtype=np.result_type(x.dtype, np.float64))
+    np.add.at(out, edges, prefix * suffix)
     return out
 
 
@@ -96,12 +121,15 @@ def power_iteration_rho(
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
     if not is_connected(graph):
         raise DisconnectedError("power iteration requires a connected hypergraph")
-    m = graph.uniformity
-    x = np.ones(graph.vertex_count)
+    import numpy as np
+
+    m, n = graph.uniformity, graph.vertex_count
+    edges = _edge_index(graph)
+    x = np.ones(n)
     x /= np.linalg.norm(x)
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iterations + 1):
-        y = apply_adjacency(graph, x)
+        y = _contract(edges, x, n)
         ratios = y / x ** (m - 1)
         lo, hi = float(ratios.min()), float(ratios.max())
         if history:
@@ -147,15 +175,22 @@ def verify_similarity(
     up as a deviation bounded away from zero.
     """
     m = _check_order(graph, symmetry_order, coloring)
+    import numpy as np
+
     phases = np.exp(2j * pi * np.array(coloring.values) / m)
     rotation = complex(np.exp(2j * pi / symmetry_order))
-    max_deviation = 0.0
-    for edge in graph.edges:
-        d = phases[np.array(edge) - 1]
-        full = d.prod()
-        for i in range(m):
-            value = full / d[i] * d[i] ** (-(m - 1)) / rotation
-            max_deviation = max(max_deviation, abs(value - 1.0))
+    d = phases[_edge_index(graph)]
+    full = d.prod(axis=1, keepdims=True)
+    others, own = full / d, d ** (-(m - 1))
+    # The complex product and modulus are spelled out in real arithmetic,
+    # rounded as for one complex number: numpy's vectorized complex
+    # multiply and abs may fuse or reorder operations, which moves the
+    # deviation by an ulp depending on the CPU.
+    value = np.empty_like(others)
+    value.real = others.real * own.real - others.imag * own.imag
+    value.imag = others.real * own.imag + others.imag * own.real
+    gap = value / rotation - 1.0
+    max_deviation = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
     return SimilarityCertificate(
         modulus=m, phases=phases, rotation=rotation, max_deviation=max_deviation
     )
@@ -172,5 +207,7 @@ def guaranteed_circle_points(rho: float, base_index: int, blowup: int) -> list[c
         raise ParameterError(f"rho must be nonnegative, got {rho}")
     if base_index < 1 or blowup < 1:
         raise ParameterError("base_index and blowup must be >= 1")
+    import numpy as np
+
     d = blowup * base_index // gcd(blowup, base_index)
     return [rho * complex(np.exp(2j * pi * q / d)) for q in range(d)]

@@ -2,7 +2,9 @@
 
 Oracles here are deliberately independent of the library code paths they
 check: solvability by exhaustive enumeration, connectivity by transitive
-closure, tensor contraction by full index-tuple summation.
+closure, tensor contraction by full index-tuple summation. The per-edge
+loops that the spectral array kernels replaced are kept here too, as
+bit-exact oracles for those kernels.
 """
 
 from __future__ import annotations
@@ -70,6 +72,34 @@ def adjacency_bruteforce(graph: Hypergraph, x) -> np.ndarray:
                 total += weight * math.prod(x[j - 1] for j in tup)
         out[i - 1] = total
     return out
+
+
+def apply_adjacency_loop(graph: Hypergraph, x) -> np.ndarray:
+    """Tensor contraction one edge at a time, by prefix and suffix products."""
+    vec = np.asarray(x)
+    out = np.zeros(graph.vertex_count, dtype=np.result_type(vec.dtype, np.float64))
+    for edge in graph.edges:
+        idx = np.array(edge) - 1
+        vals = vec[idx]
+        prefix = np.concatenate(([1], np.cumprod(vals[:-1])))
+        suffix = np.concatenate((np.cumprod(vals[:0:-1])[::-1], [1]))
+        out[idx] += prefix * suffix
+    return out
+
+
+def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) -> float:
+    """Similarity-certificate deviation one edge and one slot at a time."""
+    m = graph.uniformity
+    phases = np.exp(2j * math.pi * np.array(coloring.values) / m)
+    rotation = complex(np.exp(2j * math.pi / symmetry_order))
+    max_deviation = 0.0
+    for edge in graph.edges:
+        d = phases[np.array(edge) - 1]
+        full = d.prod()
+        for i in range(m):
+            value = full / d[i] * d[i] ** (-(m - 1)) / rotation
+            max_deviation = max(max_deviation, abs(value - 1.0))
+    return max_deviation
 
 
 def random_hypergraph(rng: random.Random, t: int, n_max: int = 8) -> Hypergraph:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hypersym
 from hypersym import cycle, nikiforov, NikiforovParams, path
 from hypersym.cli import main
 from hypersym.fileio import read_hypergraph, write_hypergraph
@@ -167,6 +173,34 @@ def test_verify_coloring_invalid(c4_file, tmp_path, capsys):
     col.write_text("modulus 2\n1\n1\n1\n1\n")
     assert main(["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]) == 0
     assert capsys.readouterr().out.startswith("invalid")
+
+
+def test_verify_coloring_edgeless(tmp_path, capsys):
+    graph = tmp_path / "empty.hg"
+    graph.write_text("uniform 2\nvertices 2\n")
+    col = tmp_path / "empty.col"
+    col.write_text("modulus 2\n0\n1\n")
+    assert main(["verify-coloring", str(graph), "--coloring", str(col), "--ell", "2"]) == 0
+    assert capsys.readouterr().out == "valid, max_deviation = 0.000e+00\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["conjecture", "--s", "2"]])
+def test_exact_commands_do_not_load_numpy(c4_file, command):
+    src = str(Path(hypersym.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import hypersym.cli\n"
+        "code = hypersym.cli.main(sys.argv[1:])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, command[0], c4_file, *command[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "= 2" in result.stdout
 
 
 def test_verify_coloring_bad_file(c4_file, tmp_path, capsys):

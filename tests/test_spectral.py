@@ -15,7 +15,9 @@ from hypersym import (
     complete,
     cycle,
     cyclic_index,
+    generalized_power,
     guaranteed_circle_points,
+    lift_single_member,
     nikiforov,
     nikiforov_coloring,
     path,
@@ -25,7 +27,37 @@ from hypersym import (
     verify_similarity,
 )
 
-from helpers import adjacency_bruteforce, random_connected_hypergraph
+from helpers import (
+    adjacency_bruteforce,
+    apply_adjacency_loop,
+    random_connected_hypergraph,
+    random_hypergraph,
+    similarity_deviation_loop,
+)
+
+
+def _family_and_power():
+    params = NikiforovParams(1, 6, 6, 4)
+    base = nikiforov(params)
+    power, layout = generalized_power(base, 2 * base.uniformity, 2)
+    return params, base, power, layout
+
+
+def _kernel_inputs(np_rng, n):
+    """Float with zeros and negatives, int, and complex vectors of length n."""
+    floats = np_rng.uniform(-2.0, 2.0, n)
+    floats[np_rng.random(n) < 0.3] = 0.0
+    floats[0] = 0.0
+    ints = np_rng.integers(-3, 4, n)
+    cplx = np_rng.uniform(-1.0, 1.0, n) + 1j * np_rng.uniform(-1.0, 1.0, n)
+    return floats, ints, cplx
+
+
+def _assert_kernel_matches_loop(graph, x):
+    got = apply_adjacency(graph, x)
+    want = apply_adjacency_loop(graph, x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_apply_adjacency_examples():
@@ -39,6 +71,35 @@ def test_apply_adjacency_examples():
 def test_apply_adjacency_dimension_check():
     with pytest.raises(DimensionMismatchError):
         apply_adjacency(cycle(4), np.ones(3))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_apply_adjacency_matches_per_edge_loop(t):
+    rng = random.Random(60 + t)
+    np_rng = np.random.default_rng(60 + t)
+    for _ in range(8):
+        g = random_hypergraph(rng, t, n_max=t + 4)
+        floats, ints, cplx = _kernel_inputs(np_rng, g.vertex_count)
+        for x in (floats, ints, cplx):
+            _assert_kernel_matches_loop(g, x)
+        assert apply_adjacency(g, ints).dtype == np.float64
+        assert apply_adjacency(g, cplx).dtype == np.complex128
+
+
+def test_apply_adjacency_matches_per_edge_loop_on_family_and_power():
+    _, base, power, _ = _family_and_power()
+    np_rng = np.random.default_rng(61)
+    for g in (base, power):
+        for x in _kernel_inputs(np_rng, g.vertex_count):
+            _assert_kernel_matches_loop(g, x)
+        _assert_kernel_matches_loop(g, np.ones(g.vertex_count))
+
+
+def test_apply_adjacency_edgeless_graph_is_zero():
+    g = build_hypergraph(3, 5, [])
+    y = apply_adjacency(g, np.arange(1.0, 6.0))
+    assert y.dtype == np.float64
+    assert np.array_equal(y, np.zeros(5))
 
 
 def test_apply_adjacency_homogeneous():
@@ -163,6 +224,37 @@ def test_similarity_agrees_with_edge_sum_check():
             bad = Coloring(m, values)
             assert not verify_coloring(g, bad, ell)
             assert verify_similarity(g, bad, ell).max_deviation > 1e-12
+
+
+def test_similarity_matches_per_edge_loop():
+    rng = random.Random(62)
+    for _ in range(30):
+        g = random_connected_hypergraph(rng, rng.choice([2, 3, 4, 5, 6]), n_max=8)
+        m = g.uniformity
+        for ell, witness in cyclic_index(g).divisor_evidence.items():
+            colorings = [Coloring(m, [rng.randrange(m) for _ in range(g.vertex_count)])]
+            if witness is not None:
+                values = list(witness.values)
+                values[0] = (values[0] + 1) % m
+                colorings += [witness, Coloring(m, values)]
+            for coloring in colorings:
+                got = verify_similarity(g, coloring, ell).max_deviation
+                assert got == similarity_deviation_loop(g, coloring, ell)
+
+
+def test_similarity_matches_per_edge_loop_on_family_and_power():
+    params, base, power, layout = _family_and_power()
+    base_coloring = nikiforov_coloring(params)
+    lifted = lift_single_member(
+        layout, Coloring(power.uniformity, [2 * v for v in base_coloring.values])
+    )
+    for g, coloring in ((base, base_coloring), (power, lifted)):
+        for ell in (2, 4):
+            got = verify_similarity(g, coloring, ell).max_deviation
+            assert got == similarity_deviation_loop(g, coloring, ell)
+    # the family coloring is an order-2 witness and not an order-4 one
+    assert verify_similarity(base, base_coloring, 2).max_deviation <= 1e-12
+    assert verify_similarity(base, base_coloring, 4).max_deviation > 1.0
 
 
 def test_circle_points():
