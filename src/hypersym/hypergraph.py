@@ -7,7 +7,6 @@ hypergraphs have equal representations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,24 +84,49 @@ def is_connected(graph: Hypergraph) -> bool:
     connected graph can be ordered so that each meets an earlier one and
     adds at most m - 1 new vertices, so it has at most k*(m-1) + 1
     vertices. That bound is tested before any per-vertex state is built,
-    so a huge `vertices` header costs nothing.
+    so a huge `vertices` header costs nothing. Then union-find merges
+    each edge's vertices; the graph is connected once n - 1 merges have
+    happened, and the remaining edges are not read.
     """
     n = graph.vertex_count
     if n > graph.edge_count * (graph.uniformity - 1) + 1:
         return False
-    neighbors: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    parent = list(range(n + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    merges = 0
     for edge in graph.edges:
-        for v in edge:
-            neighbors[v].update(edge)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in neighbors[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == n
+        if merges == n - 1:
+            break
+        root = find(edge[0])
+        for v in edge[1:]:
+            r = find(v)
+            if r != root:
+                parent[r] = root
+                merges += 1
+    return merges == n - 1
+
+
+def has_isolated_vertex(graph: Hypergraph) -> bool:
+    """True iff some vertex lies in no edge.
+
+    k edges cover at most k*m vertices, so a larger vertex count answers
+    before any per-vertex state is built.
+    """
+    n = graph.vertex_count
+    if n > graph.edge_count * graph.uniformity:
+        return True
+    covered: set[int] = set()
+    for edge in graph.edges:
+        covered.update(edge)
+        if len(covered) == n:
+            return False
+    return True
 
 
 def incidence_matrix(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:

@@ -7,8 +7,11 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -114,7 +117,7 @@ def _unit_for(a: int, m: int) -> int:
 
 
 class _SpanBasis:
-    """Echelonized generating set for the column span of a k x n matrix.
+    """Echelonized generating set for the column span of a k x n matrix A.
 
     Built by gcd-pivot row reduction over Z_m applied to the transposed
     matrix, with one extra rule that makes membership testing complete
@@ -124,90 +127,160 @@ class _SpanBasis:
     exactly the ambiguity a greedy reduction must be able to absorb
     (Howell's canonical-form construction).
 
-    Each basis row carries the coefficient vector that expresses it in
-    terms of the original columns, so reducing a target vector to zero
+    A working row is a column combination A c, and it is stored only as
+    its coefficient vector c (length n). Its entry at position `pos`,
+    (A c)[pos], is evaluated when needed from row `pos` of A, so no
+    length-k vector is ever built. Each unplaced row caches its first
+    nonzero position and the entry there; the reduction jumps to the
+    smallest cached position and rescans only the rows it changed. Each
+    pivot keeps its coefficient vector, so reducing a target to zero
     also yields a solution x with A x = target.
 
-    `rows` are the rows of A, at least one, of equal nonzero length, with
-    entries already in [0, m); callers pass program-built data, and
-    `ModMatrix` is the checked entry point for anything else.
+    Rows are sparse: `rows[pos]` lists the columns of the nonzero entries
+    of row `pos` and `weights[pos]` those entries, in [1, m). With
+    `weights` None every listed entry is 1 and its value is a plain sum
+    of coefficients: `rows` is then the 0-based vertex tuple of each
+    edge, the incidence matrix without its zeros. Callers pass
+    program-built data; `ModMatrix` is the checked entry point for
+    anything else.
     """
 
-    def __init__(self, modulus: int, rows: Sequence[Sequence[int]]):
+    def __init__(
+        self,
+        modulus: int,
+        width: int,
+        rows: Sequence[Sequence[int]],
+        weights: Optional[Sequence[Sequence[int]]] = None,
+    ):
         m = modulus
-        k, n = len(rows), len(rows[0])
         self.modulus = m
-        self.length = k
-        self.width = n
-        # Working rows: (vec, coeff) with vec == A @ coeff (mod m).
-        work: list[tuple[list[int], list[int]]] = []
-        for j in range(n):
-            vec = [row[j] for row in rows]
-            coeff = [0] * n
-            coeff[j] = 1
-            work.append((vec, coeff))
+        self.width = width
+        self._rows = rows
+        self._nonzeros = sum(map(len, rows))
+        self._columns: Optional[list[list[int]]] = None
+        if weights is None:
+            self._terms = [_row_terms(cols, None) for cols in rows]
+        else:
+            self._terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
+        k = len(self._terms)
+        # Working rows [next nonzero position, entry there, coefficients];
+        # unplaced rows are zero at every position already passed, and a
+        # row that is zero everywhere keeps position k and its slot, since
+        # the swaps below make the slot order part of the pivot choice.
+        work: list[list] = []
+        for j in range(width):
+            coef = [0] * width
+            coef[j] = 1
+            work.append([*self._scan(coef, 0), coef])
         placed = 0
-        self.pivots: dict[int, tuple[int, list[int], list[int]]] = {}
-        for pos in range(k):
-            cand = [i for i in range(placed, len(work)) if work[i][0][pos]]
-            if not cand:
-                continue
+        self.pivots: dict[int, tuple[int, list[int]]] = {}
+        while placed < len(work):
+            pos = min(row[0] for row in work[placed:])
+            if pos == k:
+                break
+            cand = [i for i in range(placed, len(work)) if work[i][0] == pos]
             # Pivot choice: minimal gcd with m, ties to the lowest row.
-            best = min(cand, key=lambda i: (gcd(work[i][0][pos], m), i))
+            best = min(cand, key=lambda i: (gcd(work[i][1], m), i))
             work[placed], work[best] = work[best], work[placed]
-            pvec, pcoef = work[placed]
+            _, a, pcoef = work[placed]
             for i in range(placed + 1, len(work)):
-                vec, coef = work[i]
-                c = vec[pos]
-                if not c:
+                nxt, c, coef = work[i]
+                if nxt != pos:
                     continue
-                a = pvec[pos]
                 g, s, t = _xgcd(a, c)
                 u, v = a // g, c // g
                 # det [[s, t], [-v, u]] = (s*a + t*c)/g = 1: invertible over Z_m.
-                pvec, vec = (
-                    [(s * x + t * y) % m for x, y in zip(pvec, vec)],
-                    [(u * y - v * x) % m for x, y in zip(pvec, vec)],
-                )
+                # The pivot's entry becomes s*a + t*c = g, the row's u*c - v*a = 0.
                 pcoef, coef = (
                     [(s * x + t * y) % m for x, y in zip(pcoef, coef)],
                     [(u * y - v * x) % m for x, y in zip(pcoef, coef)],
                 )
-                work[i] = (vec, coef)
-            unit = _unit_for(pvec[pos], m)
-            pvec = [(unit * x) % m for x in pvec]
+                a = g
+                work[i] = [*self._scan(coef, pos + 1), coef]
+            unit = _unit_for(a, m)
             pcoef = [(unit * x) % m for x in pcoef]
-            work[placed] = (pvec, pcoef)
-            p = pvec[pos]
-            ann = m // p
-            avec = [(ann * x) % m for x in pvec]
-            if any(avec):
-                work.append((avec, [(ann * x) % m for x in pcoef]))
-            self.pivots[pos] = (p, pvec, pcoef)
+            p = (unit * a) % m
+            self.pivots[pos] = (p, pcoef)
             placed += 1
+            # The annihilator row is zero up to pos; a unit pivot gives the
+            # zero coefficient vector, and one that is zero past pos too
+            # would never be a candidate, so neither joins the working set.
+            ann = m // p
+            acoef = [(ann * x) % m for x in pcoef]
+            if any(acoef):
+                nxt, value = self._scan(acoef, pos + 1)
+                if nxt < k:
+                    work.append([nxt, value, acoef])
+
+    def _scan(self, coef: list[int], start: int) -> tuple[int, int]:
+        """First position >= start where A coef is nonzero, with its entry;
+        (k, 0) when there is none.
+
+        A coef can be nonzero only where a column in its support is. The
+        scan walks as many positions as those columns hold together; a row
+        still zero past them is likely zero from there on (the difference
+        of two twin columns is), so the rest of the walk visits only the
+        positions those columns meet.
+        """
+        k = len(self._terms)
+        support = [j for j, c in enumerate(coef) if c]
+        stop = min(k, start + len(support) * self._nonzeros // self.width)
+        hit = self._first_nonzero(coef, range(start, stop))
+        if hit is None and stop < k:
+            if self._columns is None:
+                self._columns = [[] for _ in range(self.width)]
+                for pos, cols in enumerate(self._rows):
+                    for j in cols:
+                        self._columns[j].append(pos)
+            columns = [self._columns[j] for j in support]
+            met = chain.from_iterable(col[bisect_left(col, stop):] for col in columns)
+            hit = self._first_nonzero(coef, sorted(set(met)))
+        return hit or (k, 0)
+
+    def _first_nonzero(self, coef: list[int], positions: Iterable[int]):
+        """(pos, entry) for the first of `positions` where A coef is nonzero."""
+        m = self.modulus
+        terms = self._terms
+        for pos in positions:
+            value = sum(terms[pos](coef)) % m
+            if value:
+                return pos, value
+        return None
 
     def express(self, target: Sequence[int]) -> Optional[list[int]]:
-        """Coefficients x with A x = target (mod m), or None."""
+        """Coefficients x with A x = target (mod m), or None.
+
+        One walk over the positions: the residual at `pos` is
+        target[pos] - (A x)[pos] for the current x, and a pivot placed
+        at `pos` is zero before it, so clearing `pos` keeps every
+        earlier position clear.
+        """
         m = self.modulus
-        residual = [int(e) % m for e in target]
         x = [0] * self.width
-        for pos in range(self.length):
-            r = residual[pos]
-            hit = self.pivots.get(pos)
-            if hit is None:
-                if r:
-                    return None
+        for pos, (want, terms) in enumerate(zip(target, self._terms)):
+            r = (want - sum(terms(x))) % m
+            if not r:
                 continue
-            p, pvec, pcoef = hit
-            if r % p:
+            hit = self.pivots.get(pos)
+            if hit is None or r % hit[0]:
                 return None
+            p, pcoef = hit
             lam = r // p
-            if lam:
-                residual = [(a - lam * b) % m for a, b in zip(residual, pvec)]
-                x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
-        if any(residual):
-            raise InternalConsistencyError("reduction left a nonzero residual")
+            x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
         return x
+
+
+def _row_terms(cols: Sequence[int], weights: Optional[Sequence[int]]):
+    """Callable mapping a coefficient vector to the terms of one row's entry.
+
+    A 0/1 row of two or more columns gathers its coefficients with one
+    `itemgetter`; any other row multiplies each coefficient by its
+    weight, so an entry a costs one product, not a copies of a column.
+    """
+    if weights is None and len(cols) > 1:
+        return itemgetter(*cols)
+    weights = weights if weights is not None else (1,) * len(cols)
+    return lambda coef: map(mul, weights, map(coef.__getitem__, cols))
 
 
 def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
@@ -226,7 +299,9 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
         raise DimensionMismatchError(
             f"matrix has {matrix.rows} rows, rhs has {len(rhs)} entries"
         )
-    x = _SpanBasis(matrix.modulus, matrix.entries).express(rhs.entries)
+    cols = [[j for j, a in enumerate(row) if a] for row in matrix.entries]
+    weights = [[row[j] for j in c] for row, c in zip(matrix.entries, cols)]
+    x = _SpanBasis(matrix.modulus, matrix.cols, cols, weights).express(rhs.entries)
     if x is None:
         return None
     witness = ModVector(matrix.modulus, x)

@@ -18,7 +18,7 @@ from .errors import (
     ModulusMismatchError,
     ParameterError,
 )
-from .hypergraph import Hypergraph, incidence_matrix, is_connected
+from .hypergraph import Hypergraph, is_connected
 from .modular import _SpanBasis
 
 
@@ -79,15 +79,15 @@ def _check_order(
 def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) -> bool:
     """True iff every edge's color sum is m/l mod m."""
     m = _check_order(graph, symmetry_order, coloring)
-    return _edge_sums_hit(graph, coloring.values, m, m // symmetry_order)
+    # edges are 1-based; a leading 0 puts vertex v's color at index v
+    return _edge_sums_hit(graph.edges, (0, *coloring.values), m, m // symmetry_order)
 
 
-def _edge_sums_hit(graph: Hypergraph, values, modulus: int, target: int) -> bool:
-    """True iff every edge's color sum is `target` mod `modulus`."""
+def _edge_sums_hit(rows, values, modulus: int, target: int) -> bool:
+    """True iff the values indexed by each row sum to `target` mod `modulus`."""
     target %= modulus
-    return all(
-        sum(values[v - 1] for v in edge) % modulus == target for edge in graph.edges
-    )
+    get = values.__getitem__
+    return all(sum(map(get, row)) % modulus == target for row in rows)
 
 
 def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]:
@@ -130,22 +130,22 @@ def _symmetry_reports(
     witness into one for the power.
 
     The caller checks connectivity, once; a connected graph has an edge.
-    The incidence is built once and, being 0/1, is already reduced for
-    every q >= 2; each modulus gets one span basis, and each divisor is
-    one `express` call against it. Witnesses are checked by edge sums, each report for
-    divisor closure.
+    B is passed as the 0-based vertex tuple of each edge, built once: it
+    is 0/1, so it serves every q >= 2. Each modulus gets one span basis,
+    and each divisor is one `express` call against it. Witnesses are
+    checked by edge sums, each report for divisor closure.
     """
-    rows = incidence_matrix(graph)
+    rows = tuple(tuple(v - 1 for v in edge) for edge in graph.edges)
     reports = []
     for q in moduli:
-        basis = _SpanBasis(q, rows)
+        basis = _SpanBasis(q, graph.vertex_count, rows)
         evidence: dict[int, Optional[Coloring]] = {}
         for ell in divisors(q):
             x = basis.express([q // ell] * graph.edge_count)
             if x is None:
                 evidence[ell] = None
                 continue
-            if not _edge_sums_hit(graph, x, q, q // ell):
+            if not _edge_sums_hit(rows, x, q, q // ell):
                 raise InternalConsistencyError(
                     f"order {ell} witness over Z_{q} fails edge-sum verification"
                 )

@@ -4,7 +4,8 @@ Oracles here are deliberately independent of the library code paths they
 check: solvability by exhaustive enumeration, connectivity by transitive
 closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
-bit-exact oracles for those kernels.
+bit-exact oracles for those kernels, and so is the dense-vector span
+basis that the coefficient-only `_SpanBasis` replaced.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from math import gcd
 
 import numpy as np
 
 from hypersym import Hypergraph, build_hypergraph
+from hypersym.modular import _unit_for, _xgcd
 
 
 def enumeration_solvable(entries, rhs, modulus) -> bool:
@@ -178,3 +181,84 @@ def is_bipartite_bfs(graph: Hypergraph) -> bool:
             elif color[u] == color[v]:
                 return False
     return True
+
+
+class DenseSpanBasis:
+    """The span basis with every working row carried as a full length-k vector.
+
+    Same pivot rule, swaps, elimination order, 2x2 unimodular transforms
+    and annihilator rows as `hypersym.modular._SpanBasis`, which keeps
+    coefficient vectors only; its pivots and `express` results must be
+    equal to these. Takes the dense rows of A, entries in [0, m).
+    """
+
+    def __init__(self, modulus, rows):
+        m = modulus
+        k, n = len(rows), len(rows[0])
+        self.modulus = m
+        self.length = k
+        self.width = n
+        work = []
+        for j in range(n):
+            vec = [row[j] for row in rows]
+            coeff = [0] * n
+            coeff[j] = 1
+            work.append((vec, coeff))
+        placed = 0
+        self.pivots = {}
+        for pos in range(k):
+            cand = [i for i in range(placed, len(work)) if work[i][0][pos]]
+            if not cand:
+                continue
+            best = min(cand, key=lambda i: (gcd(work[i][0][pos], m), i))
+            work[placed], work[best] = work[best], work[placed]
+            pvec, pcoef = work[placed]
+            for i in range(placed + 1, len(work)):
+                vec, coef = work[i]
+                c = vec[pos]
+                if not c:
+                    continue
+                a = pvec[pos]
+                g, s, t = _xgcd(a, c)
+                u, v = a // g, c // g
+                pvec, vec = (
+                    [(s * x + t * y) % m for x, y in zip(pvec, vec)],
+                    [(u * y - v * x) % m for x, y in zip(pvec, vec)],
+                )
+                pcoef, coef = (
+                    [(s * x + t * y) % m for x, y in zip(pcoef, coef)],
+                    [(u * y - v * x) % m for x, y in zip(pcoef, coef)],
+                )
+                work[i] = (vec, coef)
+            unit = _unit_for(pvec[pos], m)
+            pvec = [(unit * x) % m for x in pvec]
+            pcoef = [(unit * x) % m for x in pcoef]
+            work[placed] = (pvec, pcoef)
+            p = pvec[pos]
+            ann = m // p
+            avec = [(ann * x) % m for x in pvec]
+            if any(avec):
+                work.append((avec, [(ann * x) % m for x in pcoef]))
+            self.pivots[pos] = (p, pvec, pcoef)
+            placed += 1
+
+    def express(self, target):
+        m = self.modulus
+        residual = [int(e) % m for e in target]
+        x = [0] * self.width
+        for pos in range(self.length):
+            r = residual[pos]
+            hit = self.pivots.get(pos)
+            if hit is None:
+                if r:
+                    return None
+                continue
+            p, pvec, pcoef = hit
+            if r % p:
+                return None
+            lam = r // p
+            if lam:
+                residual = [(a - lam * b) % m for a, b in zip(residual, pvec)]
+                x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
+        assert not any(residual), "reduction left a nonzero residual"
+        return x

@@ -249,3 +249,95 @@ def test_internal_error_has_its_own_exit_code(c4_file, monkeypatch, capsys):
     assert main(["analyze", c4_file]) == 7
     err = capsys.readouterr().err
     assert err == "error: order 1 must always be solvable\n"
+
+
+def test_power_rejects_a_vertex_in_no_edge(tmp_path, capsys):
+    # the power has one block per base vertex: a huge header must be
+    # refused before any block is built, and nothing may be written
+    target = tmp_path / "huge.hg"
+    target.write_text("uniform 2\nvertices 1000000000000\n1 2\n")
+    out = tmp_path / "p.hg"
+    assert main(["power", str(target), "--s", "2", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power requires every vertex to lie in an edge\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.hg"]
+
+
+# stdout and exit code of each command on the (6,6,4) family and its s=2
+# power; the witness colorings pin the span basis's pivot choices
+GOLDEN_FAMILY_OUTPUT = [
+    ("family", ["analyze"], 0, (
+        "uniform 4\n"
+        "vertices 16\n"
+        "edges 420\n"
+        "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 0 0 0 0 0 0 2 2 2 2 2 2 3 3 3 3\n"
+        "l = 4: unsolvable\n"
+        "cyclic_index = 2\n"
+    )),
+    ("family", ["conjecture", "--s", "2"], 10, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 2\n"
+        "product = 4\n"
+        "equality = false\n"
+        "characterization_solvable = false\n"
+        "guaranteed_symmetry = 2\n"
+        "c(power) = 2 != 4 = s*c(base): conjecture fails here\n"
+    )),
+    ("family", ["conjecture", "--s", "3"], 0, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 6\n"
+        "product = 6\n"
+        "equality = true\n"
+        "characterization_solvable = true\n"
+        "guaranteed_symmetry = 6\n"
+        "c(power) = 6 = s*c(base)\n"
+    )),
+    ("power", ["analyze"], 0, (
+        "uniform 8\n"
+        "vertices 32\n"
+        "edges 420\n"
+        "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 4 0 4 0 4 0 4 0 4 0 4 0 6 2 4 2 4 2 4\n"
+        "l = 4: unsolvable\n"
+        "l = 8: unsolvable\n"
+        "cyclic_index = 2\n"
+    )),
+    ("power", ["conjecture", "--s", "2"], 0, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 4\n"
+        "product = 4\n"
+        "equality = true\n"
+        "characterization_solvable = true\n"
+        "guaranteed_symmetry = 2\n"
+        "c(power) = 4 = s*c(base)\n"
+    )),
+    ("power", ["conjecture", "--s", "3"], 0, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 6\n"
+        "product = 6\n"
+        "equality = true\n"
+        "characterization_solvable = true\n"
+        "guaranteed_symmetry = 6\n"
+        "c(power) = 6 = s*c(base)\n"
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,command,code,stdout",
+    GOLDEN_FAMILY_OUTPUT,
+    ids=[f"{graph}-{'-'.join(command)}" for graph, command, _, _ in GOLDEN_FAMILY_OUTPUT],
+)
+def test_family_output_is_pinned(tmp_path, capsys, graph, command, code, stdout):
+    family = tmp_path / "nik.hg"
+    assert main(["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(family)]) == 0
+    target = family
+    if graph == "power":
+        target = tmp_path / "nik2.hg"
+        assert main(["power", str(family), "--s", "2", "-o", str(target)]) == 0
+    capsys.readouterr()
+    assert main([command[0], str(target), *command[1:]]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (stdout, "")

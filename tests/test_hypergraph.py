@@ -12,8 +12,9 @@ from hypersym import (
     incidence_matrix,
     is_connected,
 )
+from hypersym.hypergraph import has_isolated_vertex
 
-from helpers import closure_connected, random_hypergraph
+from helpers import closure_connected, random_connected_hypergraph, random_hypergraph
 
 
 def test_build_triangle():
@@ -80,6 +81,28 @@ def test_connectivity_matches_transitive_closure():
     for _ in range(200):
         g = random_hypergraph(rng, rng.choice([2, 3, 4]), n_max=8)
         assert is_connected(g) == closure_connected(g)
+
+
+def test_connectivity_matches_transitive_closure_on_larger_graphs():
+    # union-find merges across many edges and stops once n - 1 merges are done
+    rng = random.Random(104)
+    for _ in range(60):
+        t = rng.choice([2, 3, 4, 5])
+        g = random_connected_hypergraph(rng, t, n_max=14)
+        assert is_connected(g) and closure_connected(g)
+        h = random_hypergraph(rng, t, n_max=14)
+        assert is_connected(h) == closure_connected(h)
+
+
+def test_isolated_vertex_matches_edge_union():
+    rng = random.Random(103)
+    for _ in range(200):
+        g = random_hypergraph(rng, rng.choice([2, 3, 4]), n_max=8)
+        covered = {v for edge in g.edges for v in edge}
+        assert has_isolated_vertex(g) == (covered != set(range(1, g.vertex_count + 1)))
+    assert has_isolated_vertex(build_hypergraph(2, 2, []))
+    assert has_isolated_vertex(build_hypergraph(2, 10**12, [[1, 2]]))
+    assert not has_isolated_vertex(build_hypergraph(2, 4, [[1, 2], [3, 4]]))
 
 
 def test_incidence_triangle():

@@ -8,13 +8,18 @@ from hypersym import (
     ModMatrix,
     ModVector,
     ModulusMismatchError,
+    NikiforovParams,
     build_hypergraph,
+    divisors,
+    generalized_power,
     incidence_matrix,
     mat_vec_mod,
+    nikiforov,
     solve_linear_mod,
 )
+from hypersym.modular import _SpanBasis
 
-from helpers import enumeration_solvable
+from helpers import DenseSpanBasis, enumeration_solvable, random_hypergraph
 
 
 def solves(matrix: ModMatrix, x: ModVector, rhs: ModVector) -> bool:
@@ -124,3 +129,69 @@ def test_planted_solutions_always_found():
         # any two solutions differ by a kernel vector
         diff = ModVector(m, [p - q for p, q in zip(planted.entries, x.entries)])
         assert all(e == 0 for e in mat_vec_mod(a, diff).entries)
+
+
+def test_entries_near_a_large_modulus_solve_at_once():
+    # an entry costs one product, whatever its size
+    m = 1_000_000_007
+    a = ModMatrix(m, [[m - 1, m - 2], [m - 3, 5]])
+    planted = ModVector(m, [123_456_789, m - 42])
+    b = mat_vec_mod(a, planted)
+    x = solve_linear_mod(a, b)
+    assert x is not None and solves(a, x, b)
+    assert solve_linear_mod(ModMatrix(m, [[m - 1]]), ModVector(m, [7])).entries == (m - 7,)
+
+
+def _assert_same_basis(rng, modulus, width, rows, weights, dense):
+    """Coefficient-only basis against the dense-vector oracle: the same
+    pivots in the same order, and the same answer for every divisor target,
+    random targets and targets with a planted solution."""
+    new = _SpanBasis(modulus, width, rows, weights)
+    old = DenseSpanBasis(modulus, dense)
+    assert list(new.pivots) == list(old.pivots)
+    for pos, (p, pcoef) in new.pivots.items():
+        old_p, _, old_pcoef = old.pivots[pos]
+        assert (p, pcoef) == (old_p, old_pcoef)
+    k = len(dense)
+    targets = [[modulus // ell] * k for ell in divisors(modulus)]
+    for _ in range(3):
+        targets.append([rng.randrange(modulus) for _ in range(k)])
+        x = [rng.randrange(modulus) for _ in range(width)]
+        targets.append([sum(a * v for a, v in zip(row, x)) % modulus for row in dense])
+    for target in targets:
+        assert new.express(target) == old.express(target)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_span_basis_matches_dense_oracle_on_random_incidences(t):
+    rng = random.Random(500 + t)
+    for _ in range(30):
+        g = random_hypergraph(rng, t, n_max=t + 5)
+        rows = [[v - 1 for v in edge] for edge in g.edges]
+        for q in (t, 2 * t, 3 * t):
+            _assert_same_basis(rng, q, g.vertex_count, rows, None, incidence_matrix(g))
+
+
+def test_span_basis_matches_dense_oracle_on_family_and_power():
+    rng = random.Random(510)
+    base = nikiforov(NikiforovParams(1, 6, 6, 4))
+    power, _ = generalized_power(base, 8, 2)
+    for g in (base, power):
+        rows = [[v - 1 for v in edge] for edge in g.edges]
+        t = g.uniformity
+        for q in (t, 2 * t, 3 * t):
+            _assert_same_basis(rng, q, g.vertex_count, rows, None, incidence_matrix(g))
+
+
+def test_span_basis_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(511)
+    for _ in range(300):
+        m = rng.choice([rng.randint(2, 36), rng.randint(2, 10**6)])
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [
+            [rng.randrange(m) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(k)
+        ]
+        cols = [[j for j, a in enumerate(row) if a] for row in dense]
+        weights = [[row[j] for j in c] for row, c in zip(dense, cols)]
+        _assert_same_basis(rng, m, n, cols, weights, dense)
