@@ -7,9 +7,8 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -116,6 +115,46 @@ def _unit_for(a: int, m: int) -> int:
     raise InternalConsistencyError(f"no unit lift for {a} mod {m}")
 
 
+# Maps the binary digits "0"/"1" to the bytes 0/1, selectors for `compress`.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+class _SparseRows:
+    """A k x n integer matrix A kept as its nonzero entries, with the two
+    lookups a span basis needs; built once and shared by every modulus.
+
+    `rows[pos]` lists the columns of the nonzero entries of row `pos` and
+    `weights[pos]` those entries. With `weights` None every listed entry
+    is 1: `rows` is then the 0-based vertex tuple of each edge, the
+    incidence matrix without its zeros. `terms[pos]` maps a coefficient
+    vector c to the terms of (A c)[pos]; a 0/1 row of two or more columns
+    gathers its coefficients with one `itemgetter`, any other row
+    multiplies each coefficient by its weight, so an entry a costs one
+    product, not a copies of a column. `columns[j]` is a k-bit mask of
+    the positions where column j is nonzero: binary digit `pos` of
+    `format(columns[j], f"0{k}b")` is 1 exactly when row `pos` lists j.
+    Callers pass program-built data; `ModMatrix` is the checked entry
+    point for anything else.
+    """
+
+    def __init__(
+        self,
+        width: int,
+        rows: Sequence[Sequence[int]],
+        weights: Optional[Sequence[Sequence[int]]] = None,
+    ):
+        self.width = width
+        if weights is None:
+            self.terms = [_row_terms(cols, None) for cols in rows]
+        else:
+            self.terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
+        flags = [bytearray(b"0" * len(rows)) for _ in range(width)]
+        for pos, cols in enumerate(rows):
+            for j in cols:
+                flags[j][pos] = 49  # ord("1")
+        self.columns = [int(f, 2) for f in flags]
+
+
 class _SpanBasis:
     """Echelonized generating set for the column span of a k x n matrix A.
 
@@ -135,34 +174,15 @@ class _SpanBasis:
     smallest cached position and rescans only the rows it changed. Each
     pivot keeps its coefficient vector, so reducing a target to zero
     also yields a solution x with A x = target.
-
-    Rows are sparse: `rows[pos]` lists the columns of the nonzero entries
-    of row `pos` and `weights[pos]` those entries, in [1, m). With
-    `weights` None every listed entry is 1 and its value is a plain sum
-    of coefficients: `rows` is then the 0-based vertex tuple of each
-    edge, the incidence matrix without its zeros. Callers pass
-    program-built data; `ModMatrix` is the checked entry point for
-    anything else.
     """
 
-    def __init__(
-        self,
-        modulus: int,
-        width: int,
-        rows: Sequence[Sequence[int]],
-        weights: Optional[Sequence[Sequence[int]]] = None,
-    ):
+    def __init__(self, modulus: int, matrix: _SparseRows):
         m = modulus
+        width = matrix.width
         self.modulus = m
         self.width = width
-        self._rows = rows
-        self._nonzeros = sum(map(len, rows))
-        self._columns: Optional[list[list[int]]] = None
-        if weights is None:
-            self._terms = [_row_terms(cols, None) for cols in rows]
-        else:
-            self._terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
-        k = len(self._terms)
+        self._matrix = matrix
+        k = len(matrix.terms)
         # Working rows [next nonzero position, entry there, coefficients];
         # unplaced rows are zero at every position already passed, and a
         # row that is zero everywhere keeps position k and its slot, since
@@ -216,36 +236,24 @@ class _SpanBasis:
         """First position >= start where A coef is nonzero, with its entry;
         (k, 0) when there is none.
 
-        A coef can be nonzero only where a column in its support is. The
-        scan walks as many positions as those columns hold together; a row
-        still zero past them is likely zero from there on (the difference
-        of two twin columns is), so the rest of the walk visits only the
-        positions those columns meet.
+        A coef can be nonzero only where a column in its support is, so
+        only the positions in the union of their masks are evaluated, in
+        order: a kernel row such as the difference of two twin columns
+        costs the positions those two columns meet, not all k.
         """
-        k = len(self._terms)
-        support = [j for j, c in enumerate(coef) if c]
-        stop = min(k, start + len(support) * self._nonzeros // self.width)
-        hit = self._first_nonzero(coef, range(start, stop))
-        if hit is None and stop < k:
-            if self._columns is None:
-                self._columns = [[] for _ in range(self.width)]
-                for pos, cols in enumerate(self._rows):
-                    for j in cols:
-                        self._columns[j].append(pos)
-            columns = [self._columns[j] for j in support]
-            met = chain.from_iterable(col[bisect_left(col, stop):] for col in columns)
-            hit = self._first_nonzero(coef, sorted(set(met)))
-        return hit or (k, 0)
-
-    def _first_nonzero(self, coef: list[int], positions: Iterable[int]):
-        """(pos, entry) for the first of `positions` where A coef is nonzero."""
         m = self.modulus
-        terms = self._terms
-        for pos in positions:
+        terms = self._matrix.terms
+        met = 0
+        for mask, c in zip(self._matrix.columns, coef):
+            if c:
+                met |= mask
+        k = len(terms)
+        flags = format(met, f"0{k}b").encode().translate(_BIT_FLAGS)
+        for pos in compress(range(start, k), flags[start:]):
             value = sum(terms[pos](coef)) % m
             if value:
                 return pos, value
-        return None
+        return k, 0
 
     def express(self, target: Sequence[int]) -> Optional[list[int]]:
         """Coefficients x with A x = target (mod m), or None.
@@ -257,7 +265,7 @@ class _SpanBasis:
         """
         m = self.modulus
         x = [0] * self.width
-        for pos, (want, terms) in enumerate(zip(target, self._terms)):
+        for pos, (want, terms) in enumerate(zip(target, self._matrix.terms)):
             r = (want - sum(terms(x))) % m
             if not r:
                 continue
@@ -271,12 +279,7 @@ class _SpanBasis:
 
 
 def _row_terms(cols: Sequence[int], weights: Optional[Sequence[int]]):
-    """Callable mapping a coefficient vector to the terms of one row's entry.
-
-    A 0/1 row of two or more columns gathers its coefficients with one
-    `itemgetter`; any other row multiplies each coefficient by its
-    weight, so an entry a costs one product, not a copies of a column.
-    """
+    """Callable mapping a coefficient vector to the terms of one row's entry."""
     if weights is None and len(cols) > 1:
         return itemgetter(*cols)
     weights = weights if weights is not None else (1,) * len(cols)
@@ -301,7 +304,8 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
         )
     cols = [[j for j, a in enumerate(row) if a] for row in matrix.entries]
     weights = [[row[j] for j in c] for row, c in zip(matrix.entries, cols)]
-    x = _SpanBasis(matrix.modulus, matrix.cols, cols, weights).express(rhs.entries)
+    sparse = _SparseRows(matrix.cols, cols, weights)
+    x = _SpanBasis(matrix.modulus, sparse).express(rhs.entries)
     if x is None:
         return None
     witness = ModVector(matrix.modulus, x)

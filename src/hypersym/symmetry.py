@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .modular import _SpanBasis
+from .modular import _SpanBasis, _SparseRows
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,17 @@ def _symmetry_reports(
     witness into one for the power.
 
     The caller checks connectivity, once; a connected graph has an edge.
-    B is passed as the 0-based vertex tuple of each edge, built once: it
-    is 0/1, so it serves every q >= 2. Each modulus gets one span basis,
+    B is kept as the 0-based vertex tuple of each edge, with its per-edge
+    accessors and per-vertex edge lists, built once: it is 0/1, so it
+    serves every q >= 2. Each modulus gets one span basis,
     and each divisor is one `express` call against it. Witnesses are
     checked by edge sums, each report for divisor closure.
     """
     rows = tuple(tuple(v - 1 for v in edge) for edge in graph.edges)
+    incidence = _SparseRows(graph.vertex_count, rows)
     reports = []
     for q in moduli:
-        basis = _SpanBasis(q, graph.vertex_count, rows)
+        basis = _SpanBasis(q, incidence)
         evidence: dict[int, Optional[Coloring]] = {}
         for ell in divisors(q):
             x = basis.express([q // ell] * graph.edge_count)

@@ -81,10 +81,8 @@ def test_connectivity_matches_transitive_closure():
     for _ in range(200):
         g = random_hypergraph(rng, rng.choice([2, 3, 4]), n_max=8)
         assert is_connected(g) == closure_connected(g)
-
-
-def test_connectivity_matches_transitive_closure_on_larger_graphs():
-    # union-find merges across many edges and stops once n - 1 merges are done
+    # larger graphs: union-find merges across many edges and stops once
+    # n - 1 merges are done
     rng = random.Random(104)
     for _ in range(60):
         t = rng.choice([2, 3, 4, 5])

@@ -17,7 +17,7 @@ from hypersym import (
     nikiforov,
     solve_linear_mod,
 )
-from hypersym.modular import _SpanBasis
+from hypersym.modular import _SpanBasis, _SparseRows
 
 from helpers import DenseSpanBasis, enumeration_solvable, random_hypergraph
 
@@ -146,7 +146,7 @@ def _assert_same_basis(rng, modulus, width, rows, weights, dense):
     """Coefficient-only basis against the dense-vector oracle: the same
     pivots in the same order, and the same answer for every divisor target,
     random targets and targets with a planted solution."""
-    new = _SpanBasis(modulus, width, rows, weights)
+    new = _SpanBasis(modulus, _SparseRows(width, rows, weights))
     old = DenseSpanBasis(modulus, dense)
     assert list(new.pivots) == list(old.pivots)
     for pos, (p, pcoef) in new.pivots.items():
