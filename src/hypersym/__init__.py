@@ -46,7 +46,6 @@ from .power import (
     blowup_symmetry_coloring,
     conjecture_check,
     generalized_power,
-    lift_block_constant,
     lift_single_member,
     power_cyclic_index_shortcut,
 )
@@ -54,7 +53,6 @@ from .spectral import (
     SimilarityCertificate,
     SpectralEstimate,
     apply_adjacency,
-    guaranteed_circle_points,
     power_iteration_rho,
     verify_similarity,
 )
@@ -104,11 +102,9 @@ __all__ = [
     "cyclic_index",
     "divisors",
     "generalized_power",
-    "guaranteed_circle_points",
     "incidence_matrix",
     "is_connected",
     "is_l_symmetric",
-    "lift_block_constant",
     "lift_single_member",
     "mat_vec_mod",
     "nikiforov",

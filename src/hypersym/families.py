@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
 from .hypergraph import Hypergraph, build_hypergraph
@@ -13,28 +13,32 @@ from .symmetry import Coloring
 DEFAULT_EDGE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class NikiforovParams:
+class _NikiforovFields(NamedTuple):
+    k: int
+    size_a: int
+    size_b: int
+    size_c: int
+
+
+class NikiforovParams(_NikiforovFields):
     """Sizes of the three vertex classes A, B, C for blow-up parameter k.
 
     Class sizes must admit the four edge families: |A| >= 6k, |B| >= 6k,
     |C| >= 4k, hence n >= 16k.
     """
 
-    k: int
-    size_a: int
-    size_b: int
-    size_c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.size_a < 6 * self.k:
-            raise ParameterError(f"|A| must be >= {6 * self.k}, got {self.size_a}")
-        if self.size_b < 6 * self.k:
-            raise ParameterError(f"|B| must be >= {6 * self.k}, got {self.size_b}")
-        if self.size_c < 4 * self.k:
-            raise ParameterError(f"|C| must be >= {4 * self.k}, got {self.size_c}")
+    def __new__(cls, k: int, size_a: int, size_b: int, size_c: int):
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if size_a < 6 * k:
+            raise ParameterError(f"|A| must be >= {6 * k}, got {size_a}")
+        if size_b < 6 * k:
+            raise ParameterError(f"|B| must be >= {6 * k}, got {size_b}")
+        if size_c < 4 * k:
+            raise ParameterError(f"|C| must be >= {4 * k}, got {size_c}")
+        return super().__new__(cls, k, size_a, size_b, size_c)
 
     @property
     def vertex_count(self) -> int:

@@ -76,9 +76,22 @@ def format_hypergraph(graph: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    """The file decoded as UTF-8; a bad byte is a format error at its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # counted as `_significant_lines` counts: the line the byte starts
+        before = data[: err.start].decode("utf-8")
+        number = len((before + "x").splitlines())
+        message = f"invalid UTF-8 byte {data[err.start]:#04x}"
+        raise FileFormatError(message, number) from err
+
+
 def read_hypergraph(path: str | os.PathLike) -> Hypergraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_hypergraph(handle.read())
+    return parse_hypergraph(_read_text(path))
 
 
 def write_hypergraph(graph: Hypergraph, path: str | os.PathLike) -> None:
@@ -118,8 +131,7 @@ def format_coloring(coloring: Coloring) -> str:
 
 
 def read_coloring(path: str | os.PathLike) -> Coloring:
-    with open(path, encoding="utf-8") as handle:
-        return parse_coloring(handle.read())
+    return parse_coloring(_read_text(path))
 
 
 def write_coloring(coloring: Coloring, path: str | os.PathLike) -> None:

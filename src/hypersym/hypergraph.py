@@ -7,8 +7,7 @@ hypergraphs have equal representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -19,8 +18,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """An m-uniform hypergraph on vertices 1..vertex_count.
 
     Instances are immutable; build via :func:`build_hypergraph`, which

@@ -7,11 +7,10 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -21,14 +20,17 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ModMatrix:
-    """Dense matrix with entries reduced into [0, modulus)."""
-
+class _ModMatrixFields(NamedTuple):
     modulus: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, modulus: int, entries: Iterable[Sequence[int]]):
+
+class ModMatrix(_ModMatrixFields):
+    """Dense matrix with entries reduced into [0, modulus)."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, entries: Iterable[Sequence[int]]):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
         reduced = tuple(tuple(int(e) % modulus for e in row) for row in entries)
@@ -37,8 +39,7 @@ class ModMatrix:
         width = len(reduced[0])
         if any(len(row) != width for row in reduced):
             raise DimensionMismatchError("rows have unequal lengths")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "entries", reduced)
+        return super().__new__(cls, modulus, reduced)
 
     @property
     def rows(self) -> int:
@@ -49,18 +50,21 @@ class ModMatrix:
         return len(self.entries[0])
 
 
-@dataclass(frozen=True)
-class ModVector:
-    """Vector with entries reduced into [0, modulus)."""
-
+class _ModVectorFields(NamedTuple):
     modulus: int
     entries: tuple[int, ...]
 
-    def __init__(self, modulus: int, entries: Iterable[int]):
+
+class ModVector(_ModVectorFields):
+    """Vector with entries reduced into [0, modulus); its length is the
+    number of entries, not of fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, entries: Iterable[int]):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "entries", tuple(int(e) % modulus for e in entries))
+        return super().__new__(cls, modulus, tuple(int(e) % modulus for e in entries))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -8,9 +8,9 @@ power equal s times the cyclic index of the base?
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -23,8 +23,7 @@ from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _symmetry_reports, verify_coloring
 
 
-@dataclass(frozen=True)
-class PowerLayout:
+class PowerLayout(NamedTuple):
     """Block structure of a power hypergraph.
 
     `vertex_blocks[v-1]` is the s-set replacing base vertex v (the base
@@ -39,8 +38,7 @@ class PowerLayout:
     edge_blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Both sides of the product law for one base hypergraph and one s.
 
     `equality` records whether the power's cyclic index equals
@@ -123,21 +121,6 @@ def _check_power_parameters(graph: Hypergraph, uniformity: int, blowup: int) -> 
         )
 
 
-def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:
-    """Extend a base coloring to the power, constant on each vertex block.
-
-    Takes colors mod t and reads them mod m = layout.uniformity; padding
-    vertices get 0. An edge-sum witness for order l on the base lifts to
-    one for order l on the power this way.
-    """
-    if base.modulus != layout.base_uniformity:
-        raise ModulusMismatchError(
-            f"base coloring modulus {base.modulus} != base uniformity "
-            f"{layout.base_uniformity}"
-        )
-    return Coloring(layout.uniformity, _spread(layout, base.values, constant=True))
-
-
 def lift_single_member(layout: PowerLayout, base: Coloring) -> Coloring:
     """Extend a base coloring, placing each value on one block member only.
 
@@ -150,7 +133,7 @@ def lift_single_member(layout: PowerLayout, base: Coloring) -> Coloring:
             f"base coloring modulus {base.modulus} != power uniformity "
             f"{layout.uniformity}"
         )
-    return Coloring(layout.uniformity, _spread(layout, base.values, constant=False))
+    return Coloring(layout.uniformity, _spread(layout, base.values))
 
 
 def blowup_symmetry_coloring(layout: PowerLayout) -> Coloring:
@@ -159,7 +142,7 @@ def blowup_symmetry_coloring(layout: PowerLayout) -> Coloring:
     return lift_single_member(layout, ones)
 
 
-def _spread(layout: PowerLayout, values, constant: bool) -> list[int]:
+def _spread(layout: PowerLayout, values) -> list[int]:
     if len(values) != len(layout.vertex_blocks):
         raise DimensionMismatchError("coloring length != base vertex count")
     total = len(layout.vertex_blocks) * layout.blowup + sum(
@@ -167,11 +150,7 @@ def _spread(layout: PowerLayout, values, constant: bool) -> list[int]:
     )
     out = [0] * total
     for block, value in zip(layout.vertex_blocks, values):
-        if constant:
-            for u in block:
-                out[u - 1] = value
-        else:
-            out[block[0] - 1] = value
+        out[block[0] - 1] = value
     return out
 
 

@@ -8,9 +8,8 @@ never call them, do not pay for loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isfinite, pi
-from typing import TYPE_CHECKING
+from math import isfinite, pi
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -30,8 +29,7 @@ if TYPE_CHECKING:
 _BRACKET_SLACK = 1e-9
 
 
-@dataclass
-class SpectralEstimate:
+class SpectralEstimate(NamedTuple):
     """Power-iteration result: radius bracket and positive eigenvector."""
 
     rho: float
@@ -42,8 +40,7 @@ class SpectralEstimate:
     history: tuple[tuple[float, float], ...]
 
 
-@dataclass
-class SimilarityCertificate:
+class SimilarityCertificate(NamedTuple):
     """Numerical witness that phases rotate the tensor onto itself.
 
     `max_deviation` is the largest distance from 1 of
@@ -195,19 +192,3 @@ def verify_similarity(
         modulus=m, phases=phases, rotation=rotation, max_deviation=max_deviation
     )
 
-
-def guaranteed_circle_points(rho: float, base_index: int, blowup: int) -> list[complex]:
-    """Eigenvalues guaranteed on the power's spectral circle.
-
-    The power of a base with cyclic index c is symmetric of order
-    d = lcm(s, c), so rho * exp(i 2 pi q / d) for q = 0..d-1 are all
-    eigenvalues of the power.
-    """
-    if rho < 0:
-        raise ParameterError(f"rho must be nonnegative, got {rho}")
-    if base_index < 1 or blowup < 1:
-        raise ParameterError("base_index and blowup must be >= 1")
-    import numpy as np
-
-    d = blowup * base_index // gcd(blowup, base_index)
-    return [rho * complex(np.exp(2j * pi * q / d)) for q in range(d)]

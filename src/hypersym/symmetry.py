@@ -8,8 +8,7 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -22,22 +21,23 @@ from .hypergraph import Hypergraph, is_connected
 from .modular import _SpanBasis, _SparseRows
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A vertex map into Z_m, one value per vertex in index order."""
-
+class _ColoringFields(NamedTuple):
     modulus: int
     values: tuple[int, ...]
 
-    def __init__(self, modulus: int, values):
+
+class Coloring(_ColoringFields):
+    """A vertex map into Z_m, one value per vertex in index order."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, values):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", tuple(int(v) % modulus for v in values))
+        return super().__new__(cls, modulus, tuple(int(v) % modulus for v in values))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Cyclic index plus per-divisor solvability evidence.
 
     `divisor_evidence` maps every divisor l of the uniformity to a witness

@@ -5,7 +5,8 @@ check: solvability by exhaustive enumeration, connectivity by transitive
 closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
 bit-exact oracles for those kernels, and so is the dense-vector span
-basis that the coefficient-only `_SpanBasis` replaced.
+basis that the coefficient-only `_SpanBasis` replaced. The block-constant
+lift lives here because only the tests use it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from hypersym import Hypergraph, build_hypergraph
+from hypersym import Coloring, Hypergraph, PowerLayout, build_hypergraph
 from hypersym.modular import _unit_for, _xgcd
 
 
@@ -103,6 +104,24 @@ def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) 
             value = full / d[i] * d[i] ** (-(m - 1)) / rotation
             max_deviation = max(max_deviation, abs(value - 1.0))
     return max_deviation
+
+
+def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:
+    """Extend a base coloring to the power, constant on each vertex block.
+
+    Takes colors mod t and reads them mod m = layout.uniformity; padding
+    vertices get 0. An edge-sum witness for order l on the base lifts to
+    one for order l on the power this way.
+    """
+    assert base.modulus == layout.base_uniformity
+    total = len(layout.vertex_blocks) * layout.blowup + sum(
+        len(b) for b in layout.edge_blocks
+    )
+    values = [0] * total
+    for block, value in zip(layout.vertex_blocks, base.values):
+        for u in block:
+            values[u - 1] = value
+    return Coloring(layout.uniformity, values)
 
 
 def random_hypergraph(rng: random.Random, t: int, n_max: int = 8) -> Hypergraph:

@@ -184,23 +184,49 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
     assert capsys.readouterr().out == "valid, max_deviation = 0.000e+00\n"
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["conjecture", "--s", "2"]])
-def test_exact_commands_do_not_load_numpy(c4_file, command):
+@pytest.mark.parametrize("command", [
+    ["analyze", "{c4}"],
+    ["conjecture", "{c4}", "--s", "2"],
+    ["power", "{c4}", "--s", "2", "-o", "{out}"],
+    ["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", "{out}"],
+])
+def test_exact_commands_do_not_load_numpy(c4_file, tmp_path, command):
+    """Nor `dataclasses` or `inspect`, which cost every short job start-up
+    time. The check is on what the command adds, so a module that the
+    interpreter loaded before it (a site hook, say) cannot fail it."""
     src = str(Path(hypersym.__file__).resolve().parents[1])
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import hypersym.cli\n"
         "code = hypersym.cli.main(sys.argv[1:])\n"
-        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+        "assert not loaded, f'loaded {sorted(loaded)}'\n"
         "sys.exit(code)\n"
     )
+    argv = [arg.format(c4=c4_file, out=tmp_path / "out.hg") for arg in command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", script, command[0], c4_file, *command[1:]],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "= 2" in result.stdout
+    expected = {"analyze": "cyclic_index = 2", "conjecture": "equality = true"}
+    assert expected.get(command[0], "wrote ") in result.stdout
+
+
+@pytest.mark.parametrize("kind", ["hypergraph", "coloring"])
+def test_invalid_utf8_is_a_parse_error_at_its_line(c4_file, tmp_path, kind, capsys):
+    bad = tmp_path / "bad"
+    if kind == "hypergraph":
+        bad.write_bytes(b"uniform 2\nvertices 2\n1 \xff2\n")
+        argv = ["analyze", str(bad)]
+    else:
+        # a CRLF line ending counts as one line break, as in the parser
+        bad.write_bytes(b"modulus 2\r\n1\r\n\xff\n1\n0\n")
+        argv = ["verify-coloring", c4_file, "--coloring", str(bad), "--ell", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: line 3: invalid UTF-8 byte 0xff\n"
 
 
 def test_verify_coloring_bad_file(c4_file, tmp_path, capsys):

@@ -16,7 +16,6 @@ from hypersym import (
     cyclic_index,
     generalized_power,
     is_connected,
-    lift_block_constant,
     lift_single_member,
     nikiforov,
     power_cyclic_index_shortcut,
@@ -24,7 +23,7 @@ from hypersym import (
 )
 from hypersym.symmetry import _symmetry_reports
 
-from helpers import random_connected_hypergraph
+from helpers import lift_block_constant, random_connected_hypergraph
 
 
 def test_power_counts_pure_blowup():

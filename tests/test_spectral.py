@@ -16,7 +16,6 @@ from hypersym import (
     cycle,
     cyclic_index,
     generalized_power,
-    guaranteed_circle_points,
     lift_single_member,
     nikiforov,
     nikiforov_coloring,
@@ -256,13 +255,3 @@ def test_similarity_matches_per_edge_loop_on_family_and_power():
     assert verify_similarity(base, base_coloring, 2).max_deviation <= 1e-12
     assert verify_similarity(base, base_coloring, 4).max_deviation > 1.0
 
-
-def test_circle_points():
-    pts = guaranteed_circle_points(1.0, 2, 2)
-    assert np.allclose(pts, [1.0, -1.0])
-    pts = guaranteed_circle_points(1.0, 2, 3)
-    assert len(pts) == 6
-    assert np.allclose(sorted(np.angle(pts)), np.pi * np.array([-2, -1, 0, 1, 2, 3]) / 3)
-    pts = guaranteed_circle_points(2.0, 1, 4)
-    assert np.allclose(pts, [2.0, 2.0j, -2.0, -2.0j])
-    assert np.allclose(np.abs(pts), 2.0)
