@@ -40,6 +40,11 @@ class NikiforovParams(_NikiforovFields):
             raise ParameterError(f"|C| must be >= {4 * k}, got {size_c}")
         return super().__new__(cls, k, size_a, size_b, size_c)
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, whose default skips `__new__`
+        return cls(*iterable)
+
     @property
     def vertex_count(self) -> int:
         return self.size_a + self.size_b + self.size_c

@@ -56,11 +56,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FileFormatError("missing 'vertices <n>' line", number)
     vertex_count = _header_value(line, number, "vertices")
 
-    def edges() -> Iterator[list[int]]:
+    def edges() -> Iterator[tuple[int, ...]]:
         nonlocal number
         for number, line in lines:
             try:
-                yield [int(tok) for tok in line.split()]
+                yield tuple(map(int, line.split()))
             except ValueError:
                 raise FileFormatError(f"edge line is not all integers: {line!r}", number)
 
@@ -72,7 +72,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def format_hypergraph(graph: Hypergraph) -> str:
     lines = [f"uniform {graph.uniformity}", f"vertices {graph.vertex_count}"]
-    lines.extend(" ".join(str(v) for v in edge) for edge in graph.edges)
+    template = " ".join(["%d"] * graph.uniformity)
+    lines.extend(map(template.__mod__, graph.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -7,9 +7,10 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -41,6 +42,11 @@ class ModMatrix(_ModMatrixFields):
             raise DimensionMismatchError("rows have unequal lengths")
         return super().__new__(cls, modulus, reduced)
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, whose default skips `__new__`
+        return cls(*iterable)
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -65,6 +71,11 @@ class ModVector(_ModVectorFields):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
         return super().__new__(cls, modulus, tuple(int(e) % modulus for e in entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, whose default skips `__new__`
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,18 +138,24 @@ class _SparseRows:
     """A k x n integer matrix A kept as its nonzero entries, with the two
     lookups a span basis needs; built once and shared by every modulus.
 
-    `rows[pos]` lists the columns of the nonzero entries of row `pos` and
-    `weights[pos]` those entries. With `weights` None every listed entry
-    is 1: `rows` is then the 0-based vertex tuple of each edge, the
-    incidence matrix without its zeros. `terms[pos]` maps a coefficient
-    vector c to the terms of (A c)[pos]; a 0/1 row of two or more columns
+    `rows[pos]` lists the columns of the nonzero entries of row `pos`,
+    numbered from 1, and `weights[pos]` those entries. With `weights`
+    None every listed entry is 1: `rows` is then the vertex tuple of each
+    edge, the incidence matrix without its zeros. A coefficient vector c
+    has a leading slot 0 that is always 0 and then one entry per column,
+    so a row indexes it directly, as `verify_coloring` indexes
+    `(0, *values)`. `terms[pos]` maps c to the terms of (A c)[pos]; a
+    0/1 row of two or more columns
     gathers its coefficients with one `itemgetter`, any other row
     multiplies each coefficient by its weight, so an entry a costs one
-    product, not a copies of a column. `columns[j]` is a k-bit mask of
-    the positions where column j is nonzero: binary digit `pos` of
-    `format(columns[j], f"0{k}b")` is 1 exactly when row `pos` lists j.
-    Callers pass program-built data; `ModMatrix` is the checked entry
-    point for anything else.
+    product, not a copies of a column. A column's mask is a k-bit integer
+    whose binary digit `pos` of `format(mask, f"0{k}b")` is 1 exactly
+    when row `pos` lists the column. Equal columns, those with the same
+    mask and, with `weights`, the same entries, form one class: `twins`
+    holds (mask, column indices) for each class of two or more, and
+    `single_masks[i]` is the mask of column `single_columns[i]`, which has
+    no equal. Callers pass program-built data; `ModMatrix` is the checked
+    entry point for anything else.
     """
 
     def __init__(
@@ -148,15 +165,27 @@ class _SparseRows:
         weights: Optional[Sequence[Sequence[int]]] = None,
     ):
         self.width = width
-        if weights is None:
-            self.terms = [_row_terms(cols, None) for cols in rows]
-        else:
-            self.terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
-        flags = [bytearray(b"0" * len(rows)) for _ in range(width)]
+        flags = [bytearray(b"0" * len(rows)) for _ in range(width + 1)]
         for pos, cols in enumerate(rows):
             for j in cols:
                 flags[j][pos] = 49  # ord("1")
-        self.columns = [int(f, 2) for f in flags]
+        masks = [int(f, 2) for f in flags]
+        if weights is None:
+            self.terms = [_row_terms(cols, None) for cols in rows]
+            keys: list = masks
+        else:
+            self.terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
+            entries: list[list[int]] = [[] for _ in range(width + 1)]
+            for cols, ws in zip(rows, weights):
+                for j, w in zip(cols, ws):
+                    entries[j].append(w)
+            keys = list(zip(masks, map(tuple, entries)))
+        classes: dict = {}
+        for j in range(1, width + 1):
+            classes.setdefault(keys[j], []).append(j)
+        self.twins = [(masks[js[0]], js) for js in classes.values() if len(js) > 1]
+        self.single_columns = [js[0] for js in classes.values() if len(js) == 1]
+        self.single_masks = [masks[j] for j in self.single_columns]
 
 
 class _SpanBasis:
@@ -171,7 +200,9 @@ class _SpanBasis:
     (Howell's canonical-form construction).
 
     A working row is a column combination A c, and it is stored only as
-    its coefficient vector c (length n). Its entry at position `pos`,
+    its coefficient vector c (n + 1 slots, slot 0 the zero slot of
+    `_SparseRows`, which never gets a working row of its own: slot
+    order is part of the pivot choice). Its entry at position `pos`,
     (A c)[pos], is evaluated when needed from row `pos` of A, so no
     length-k vector is ever built. Each unplaced row caches its first
     nonzero position and the entry there; the reduction jumps to the
@@ -192,8 +223,8 @@ class _SpanBasis:
         # row that is zero everywhere keeps position k and its slot, since
         # the swaps below make the slot order part of the pivot choice.
         work: list[list] = []
-        for j in range(width):
-            coef = [0] * width
+        for j in range(1, width + 1):
+            coef = [0] * (width + 1)
             coef[j] = 1
             work.append([*self._scan(coef, 0), coef])
         placed = 0
@@ -240,18 +271,25 @@ class _SpanBasis:
         """First position >= start where A coef is nonzero, with its entry;
         (k, 0) when there is none.
 
-        A coef can be nonzero only where a column in its support is, so
-        only the positions in the union of their masks are evaluated, in
-        order: a kernel row such as the difference of two twin columns
-        costs the positions those two columns meet, not all k.
+        Equal columns contribute their coefficient sum times their
+        common column, so A coef can be nonzero only where a class of
+        equal columns with a nonzero sum mod m is. Only the positions in
+        the union of those classes' masks are evaluated, in order: a
+        kernel row such as the difference of two twin columns costs
+        nothing.
         """
         m = self.modulus
-        terms = self._matrix.terms
-        met = 0
-        for mask, c in zip(self._matrix.columns, coef):
-            if c:
-                met |= mask
+        matrix = self._matrix
+        terms = matrix.terms
         k = len(terms)
+        # coefficients are kept in [0, m), so a nonzero one is nonzero mod m
+        picked = map(coef.__getitem__, matrix.single_columns)
+        met = reduce(or_, compress(matrix.single_masks, picked), 0)
+        for mask, js in matrix.twins:
+            if sum(map(coef.__getitem__, js)) % m:
+                met |= mask
+        if not met:
+            return k, 0
         flags = format(met, f"0{k}b").encode().translate(_BIT_FLAGS)
         for pos in compress(range(start, k), flags[start:]):
             value = sum(terms[pos](coef)) % m
@@ -260,7 +298,8 @@ class _SpanBasis:
         return k, 0
 
     def express(self, target: Sequence[int]) -> Optional[list[int]]:
-        """Coefficients x with A x = target (mod m), or None.
+        """Coefficients x with A x = target (mod m), or None; x[0] is the
+        zero slot.
 
         One walk over the positions: the residual at `pos` is
         target[pos] - (A x)[pos] for the current x, and a pivot placed
@@ -268,7 +307,7 @@ class _SpanBasis:
         earlier position clear.
         """
         m = self.modulus
-        x = [0] * self.width
+        x = [0] * (self.width + 1)
         for pos, (want, terms) in enumerate(zip(target, self._matrix.terms)):
             r = (want - sum(terms(x))) % m
             if not r:
@@ -280,6 +319,40 @@ class _SpanBasis:
             lam = r // p
             x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
         return x
+
+    def generator(self) -> tuple[int, list[int]]:
+        """(a, x) with A x = a * 1 (mod m) and gcd(a, m) = g, where the b
+        with b * 1 in the column span are exactly the multiples of g; x[0]
+        is the zero slot.
+
+        The `express` walk for the all-ones target, scaled where it would
+        fail: at a residual r that the pivot p (m where there is none)
+        does not divide, a and x are multiplied by u = p / gcd(r, p), the
+        least factor that makes u * r a multiple of p; then the position
+        is cleared as usual. Earlier positions are zero and stay so. The
+        basis is annihilator-closed, so a vector of the span that is zero
+        before `pos` has its entry there in p * Z_m. For b = c * a with
+        b * 1 in the span, c times the residual is such a vector, so u
+        divides c: each factor is forced, and the final a generates the
+        ideal of all such b.
+        """
+        m = self.modulus
+        a = 1
+        x = [0] * (self.width + 1)
+        for pos, terms in enumerate(self._matrix.terms):
+            r = (a - sum(terms(x))) % m
+            if not r:
+                continue
+            p, pcoef = self.pivots.get(pos, (m, None))
+            if r % p:
+                u = p // gcd(r, p)
+                a = a * u % m
+                x = [v * u % m for v in x]
+                r = r * u % m
+            if r:
+                lam = r // p
+                x = [(v + lam * b) % m for v, b in zip(x, pcoef)]
+        return a, x
 
 
 def _row_terms(cols: Sequence[int], weights: Optional[Sequence[int]]):
@@ -306,13 +379,13 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
         raise DimensionMismatchError(
             f"matrix has {matrix.rows} rows, rhs has {len(rhs)} entries"
         )
-    cols = [[j for j, a in enumerate(row) if a] for row in matrix.entries]
-    weights = [[row[j] for j in c] for row, c in zip(matrix.entries, cols)]
+    cols = [[j for j, a in enumerate(row, 1) if a] for row in matrix.entries]
+    weights = [[row[j - 1] for j in c] for row, c in zip(matrix.entries, cols)]
     sparse = _SparseRows(matrix.cols, cols, weights)
     x = _SpanBasis(matrix.modulus, sparse).express(rhs.entries)
     if x is None:
         return None
-    witness = ModVector(matrix.modulus, x)
+    witness = ModVector(matrix.modulus, x[1:])
     if mat_vec_mod(matrix, witness).entries != rhs.entries:
         raise InternalConsistencyError("solver produced a non-solution")
     return witness

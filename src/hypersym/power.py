@@ -20,7 +20,8 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .symmetry import Coloring, _symmetry_reports, verify_coloring
+from .modular import _SpanBasis, _SparseRows
+from .symmetry import Coloring, _edge_sums_hit, verify_coloring
 
 
 class PowerLayout(NamedTuple):
@@ -161,8 +162,10 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     B, once over Z_t and once over Z_m: the power's incidence is B with
     every column repeated s times, which spans the same submodule, so
     c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
-    The characterization system B x = (t / c(base)) * 1 over Z_m is the
-    order l = s * c(base) of that same basis, whose solvability is
+    Over each modulus q one generator walk gives the g with b * 1 in the
+    span exactly for the multiples b of g, so the index is q/g. The
+    characterization system B x = (t / c(base)) * 1 over Z_m has target
+    g_t, so it is solvable exactly when g_m divides g_t, which is
     equivalent to equality. Theory-mandated divisibility relations are
     asserted before the report is returned.
     """
@@ -172,25 +175,34 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    base, power = _symmetry_reports(graph, (t, m))
-    base_c = base.cyclic_index
-    power_c = power.cyclic_index
+    incidence = _SparseRows(graph.vertex_count, graph.edges)
+    g_base, g_power = (_generator(graph.edges, incidence, q) for q in (t, m))
+    base_c = t // g_base
+    power_c = m // g_power
     product = blowup * base_c
-    if t % base_c:
-        raise InternalConsistencyError(
-            f"cyclic index {base_c} does not divide uniformity {t}"
-        )
     guaranteed = blowup * base_c // gcd(blowup, base_c)
     report = ConjectureReport(
         base_cyclic_index=base_c,
         power_cyclic_index=power_c,
         product=product,
         equality=power_c == product,
-        characterization_solvable=power.divisor_evidence[product] is not None,
+        characterization_solvable=g_base % g_power == 0,
         guaranteed_symmetry=guaranteed,
     )
     _assert_report_invariants(report, blowup)
     return report
+
+
+def _generator(edges, incidence: _SparseRows, modulus: int) -> int:
+    """The g with b * 1 in the span of B over Z_q exactly for the
+    multiples b of g, from one generator walk whose witness is checked by
+    edge sums; g divides q."""
+    a, x = _SpanBasis(modulus, incidence).generator()
+    if not _edge_sums_hit(edges, x, modulus, a):
+        raise InternalConsistencyError(
+            f"generator witness over Z_{modulus} fails edge-sum verification"
+        )
+    return gcd(a, modulus)
 
 
 def _assert_report_invariants(report: ConjectureReport, blowup: int) -> None:

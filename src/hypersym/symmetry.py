@@ -8,7 +8,8 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from math import gcd
+from typing import NamedTuple, Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +36,11 @@ class Coloring(_ColoringFields):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
         return super().__new__(cls, modulus, tuple(int(v) % modulus for v in values))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, whose default skips `__new__`
+        return cls(*iterable)
 
 
 class SymmetryReport(NamedTuple):
@@ -99,67 +105,65 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     m = _check_order(graph, symmetry_order)
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    (report,) = _symmetry_reports(graph, (m,))
-    return report.divisor_evidence[symmetry_order]
+    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
+    a, _ = basis.generator()
+    if (m // symmetry_order) % gcd(a, m):
+        return None
+    return _witness(graph.edges, basis, symmetry_order)
 
 
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
-    Every divisor of m is decided and recorded; the report is self-checked
-    for divisor closure (a witness for l implies one for every divisor of
-    l) before being returned.
+    Every divisor of m is decided and recorded, and divisor closure (a
+    witness for l implies one for every divisor of l) holds by
+    construction: l is solvable exactly when g divides m/l.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
-    (report,) = _symmetry_reports(graph, (graph.uniformity,))
-    return report
+    return _symmetry_report(graph, graph.uniformity)
 
 
-def _symmetry_reports(
-    graph: Hypergraph, moduli: Sequence[int]
-) -> list[SymmetryReport]:
-    """One report per modulus q: every divisor l of q, B x = (q/l) * 1 over Z_q.
+def _symmetry_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
+    """Every divisor l of q = modulus decided: B x = (q/l) * 1 over Z_q.
 
     B is the incidence matrix of `graph`; witnesses are colorings mod q of
-    its vertices and the report's index is the largest solvable l. With q
-    the uniformity this is the cyclic index. With q = s*t for a t-uniform
-    base it is the cyclic index of the pure blow-up G^(st,s): the power's
-    incidence is B with every column repeated s times, so it spans the
-    same submodule of Z_q^edges, and `lift_single_member` turns each
-    witness into one for the power.
+    its vertices and the report's index is the largest solvable l, q/g for
+    the g of `_SpanBasis.generator`. With q the uniformity this is the
+    cyclic index. With q = s*t for a t-uniform base it is the cyclic index
+    of the pure blow-up G^(st,s) (see `power.conjecture_check`), and
+    `lift_single_member` turns each witness into one for the power.
 
     The caller checks connectivity, once; a connected graph has an edge.
-    B is kept as the 0-based vertex tuple of each edge, with its per-edge
-    accessors and per-vertex edge lists, built once: it is 0/1, so it
-    serves every q >= 2. Each modulus gets one span basis,
-    and each divisor is one `express` call against it. Witnesses are
-    checked by edge sums, each report for divisor closure.
+    One generator walk gives g, and only the divisors it marks solvable
+    get a witness, the one `express` finds (for l = 1, the zero vector).
+    The witness for l = q/g, whose target is g, checks the walk.
     """
-    rows = tuple(tuple(v - 1 for v in edge) for edge in graph.edges)
-    incidence = _SparseRows(graph.vertex_count, rows)
-    reports = []
-    for q in moduli:
-        basis = _SpanBasis(q, incidence)
-        evidence: dict[int, Optional[Coloring]] = {}
-        for ell in divisors(q):
-            x = basis.express([q // ell] * graph.edge_count)
-            if x is None:
-                evidence[ell] = None
-                continue
-            if not _edge_sums_hit(rows, x, q, q // ell):
-                raise InternalConsistencyError(
-                    f"order {ell} witness over Z_{q} fails edge-sum verification"
-                )
-            evidence[ell] = Coloring(q, x)
-        solvable = [ell for ell, witness in evidence.items() if witness is not None]
-        for ell in solvable:
-            for d in divisors(ell):
-                if evidence[d] is None:
-                    raise InternalConsistencyError(
-                        f"divisor closure violated: order {ell} solvable but {d} is not"
-                    )
-        if evidence[1] is None:
-            raise InternalConsistencyError("order 1 must always be solvable")
-        reports.append(SymmetryReport(max(solvable), evidence))
-    return reports
+    basis = _SpanBasis(modulus, _SparseRows(graph.vertex_count, graph.edges))
+    a, _ = basis.generator()
+    g = gcd(a, modulus)
+    evidence = {
+        ell: None if (modulus // ell) % g else _witness(graph.edges, basis, ell)
+        for ell in divisors(modulus)
+    }
+    return SymmetryReport(modulus // g, evidence)
+
+
+def _witness(edges, basis: _SpanBasis, symmetry_order: int) -> Coloring:
+    """The `express` solution of B x = (q/l) * 1 over Z_q, which the
+    generator walk has marked solvable, checked by edge sums."""
+    q = basis.modulus
+    if symmetry_order == 1:
+        # the target is 0, for which `express` returns the zero vector
+        return Coloring(q, [0] * basis.width)
+    x = basis.express([q // symmetry_order] * len(edges))
+    if x is None:
+        raise InternalConsistencyError(
+            f"order {symmetry_order} over Z_{q} is in the generator's ideal "
+            "but has no solution"
+        )
+    if not _edge_sums_hit(edges, x, q, q // symmetry_order):
+        raise InternalConsistencyError(
+            f"order {symmetry_order} witness over Z_{q} fails edge-sum verification"
+        )
+    return Coloring(q, x[1:])

@@ -5,7 +5,8 @@ check: solvability by exhaustive enumeration, connectivity by transitive
 closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
 bit-exact oracles for those kernels, and so is the dense-vector span
-basis that the coefficient-only `_SpanBasis` replaced. The block-constant
+basis that the coefficient-only `_SpanBasis` replaced, and the
+per-divisor route that the generator walk replaced. The block-constant
 lift lives here because only the tests use it.
 """
 
@@ -18,8 +19,15 @@ from math import gcd
 
 import numpy as np
 
-from hypersym import Coloring, Hypergraph, PowerLayout, build_hypergraph
-from hypersym.modular import _unit_for, _xgcd
+from hypersym import (
+    Coloring,
+    Hypergraph,
+    PowerLayout,
+    SymmetryReport,
+    build_hypergraph,
+    divisors,
+)
+from hypersym.modular import _SpanBasis, _SparseRows, _unit_for, _xgcd
 
 
 def enumeration_solvable(entries, rhs, modulus) -> bool:
@@ -281,3 +289,27 @@ class DenseSpanBasis:
                 x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
         assert not any(residual), "reduction left a nonzero residual"
         return x
+
+
+def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
+    """Every divisor l of q decided by its own `express` call: B x = (q/l) * 1.
+
+    One span basis of the incidence B over Z_q, one `express` call per
+    divisor, each witness checked by edge sums and the report checked for
+    divisor closure; the generator walk must give the same report.
+    """
+    q = modulus
+    basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))
+    evidence = {}
+    for ell in divisors(q):
+        x = basis.express([q // ell] * graph.edge_count)
+        if x is not None:
+            # x[0] is the zero slot, so x[v] is the color of vertex v
+            assert all(sum(x[v] for v in e) % q == (q // ell) % q for e in graph.edges)
+            x = Coloring(q, x[1:])
+        evidence[ell] = x
+    solvable = [ell for ell, witness in evidence.items() if witness is not None]
+    for ell in solvable:
+        assert all(evidence[d] is not None for d in divisors(ell))
+    assert evidence[1] is not None
+    return SymmetryReport(max(solvable), evidence)

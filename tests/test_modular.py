@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -145,13 +146,16 @@ def test_entries_near_a_large_modulus_solve_at_once():
 def _assert_same_basis(rng, modulus, width, rows, weights, dense):
     """Coefficient-only basis against the dense-vector oracle: the same
     pivots in the same order, and the same answer for every divisor target,
-    random targets and targets with a planted solution."""
+    random targets and targets with a planted solution. The generator walk
+    solves A x = a * 1, and gcd(a, m) is the least divisor d of m whose
+    d * 1 the oracle expresses. `rows` number columns from 1, and every
+    coefficient vector has a leading zero slot that the oracle's lacks."""
     new = _SpanBasis(modulus, _SparseRows(width, rows, weights))
     old = DenseSpanBasis(modulus, dense)
     assert list(new.pivots) == list(old.pivots)
     for pos, (p, pcoef) in new.pivots.items():
         old_p, _, old_pcoef = old.pivots[pos]
-        assert (p, pcoef) == (old_p, old_pcoef)
+        assert (p, pcoef) == (old_p, [0, *old_pcoef])
     k = len(dense)
     targets = [[modulus // ell] * k for ell in divisors(modulus)]
     for _ in range(3):
@@ -159,17 +163,24 @@ def _assert_same_basis(rng, modulus, width, rows, weights, dense):
         x = [rng.randrange(modulus) for _ in range(width)]
         targets.append([sum(a * v for a, v in zip(row, x)) % modulus for row in dense])
     for target in targets:
-        assert new.express(target) == old.express(target)
+        x = old.express(target)
+        assert new.express(target) == (None if x is None else [0, *x])
+    a, x = new.generator()
+    assert x[0] == 0
+    assert [sum(e * v for e, v in zip(row, x[1:])) % modulus for row in dense] == [a] * k
+    least = min(d for d in divisors(modulus) if old.express([d] * k) is not None)
+    assert gcd(a, modulus) == least
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_span_basis_matches_dense_oracle_on_random_incidences(t):
     rng = random.Random(500 + t)
     for _ in range(30):
-        g = random_hypergraph(rng, t, n_max=t + 5)
-        rows = [[v - 1 for v in edge] for edge in g.edges]
-        for q in (t, 2 * t, 3 * t):
-            _assert_same_basis(rng, q, g.vertex_count, rows, None, incidence_matrix(g))
+        base = random_hypergraph(rng, t, n_max=t + 5)
+        # the blow-up has twin columns, one class per base vertex
+        for g in (base, generalized_power(base, 2 * t, 2)[0]):
+            for q in (t, 2 * t, 3 * t):
+                _assert_same_basis(rng, q, g.vertex_count, g.edges, None, incidence_matrix(g))
 
 
 def test_span_basis_matches_dense_oracle_on_family_and_power():
@@ -177,10 +188,9 @@ def test_span_basis_matches_dense_oracle_on_family_and_power():
     base = nikiforov(NikiforovParams(1, 6, 6, 4))
     power, _ = generalized_power(base, 8, 2)
     for g in (base, power):
-        rows = [[v - 1 for v in edge] for edge in g.edges]
         t = g.uniformity
         for q in (t, 2 * t, 3 * t):
-            _assert_same_basis(rng, q, g.vertex_count, rows, None, incidence_matrix(g))
+            _assert_same_basis(rng, q, g.vertex_count, g.edges, None, incidence_matrix(g))
 
 
 def test_span_basis_matches_dense_oracle_on_random_matrices():
@@ -192,6 +202,6 @@ def test_span_basis_matches_dense_oracle_on_random_matrices():
             [rng.randrange(m) if rng.random() < 0.7 else 0 for _ in range(n)]
             for _ in range(k)
         ]
-        cols = [[j for j, a in enumerate(row) if a] for row in dense]
-        weights = [[row[j] for j in c] for row, c in zip(dense, cols)]
+        cols = [[j for j, a in enumerate(row, 1) if a] for row in dense]
+        weights = [[row[j - 1] for j in c] for row, c in zip(dense, cols)]
         _assert_same_basis(rng, m, n, cols, weights, dense)

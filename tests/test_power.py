@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersym.power
 from hypersym import (
@@ -21,7 +23,7 @@ from hypersym import (
     power_cyclic_index_shortcut,
     verify_coloring,
 )
-from hypersym.symmetry import _symmetry_reports
+from hypersym.symmetry import _symmetry_report
 
 from helpers import lift_block_constant, random_connected_hypergraph
 
@@ -189,7 +191,7 @@ def _assert_base_route_matches_built_power(base, s):
     power, layout = generalized_power(base, m, s)
     built = cyclic_index(power)
     assert conjecture_check(base, s).power_cyclic_index == built.cyclic_index
-    (over_zm,) = _symmetry_reports(base, (m,))
+    over_zm = _symmetry_report(base, m)
     assert over_zm.cyclic_index == built.cyclic_index
     for ell, witness in over_zm.divisor_evidence.items():
         assert (witness is None) == (built.divisor_evidence[ell] is None)
@@ -202,6 +204,16 @@ def test_power_index_from_base_matches_built_power_random():
     for _ in range(300):
         base = random_connected_hypergraph(rng, rng.choice([2, 3, 4]), n_max=7)
         _assert_base_route_matches_built_power(base, rng.choice([2, 3, 4, 5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    t=st.integers(2, 4),
+    s=st.integers(2, 4),
+)
+def test_power_index_from_base_matches_built_power_property(rng, t, s):
+    _assert_base_route_matches_built_power(random_connected_hypergraph(rng, t, 7), s)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])

@@ -1,6 +1,7 @@
 """The public records: named fields in a fixed order, positional and keyword
 construction, value equality, immutability, and the checks and reductions
-the validating ones apply on construction."""
+the validating ones apply on construction, through `_make` and `_replace`
+too."""
 
 import numpy as np
 import pytest
@@ -95,6 +96,9 @@ def test_records_keep_their_contract(cls, fields, args, stored, length, bad):
     assert _same(tuple(record), stored)
     assert len(record) == length
     assert _same(tuple(cls(**dict(zip(fields, args)))), stored)
+    # `_make` and `_replace` apply the same checks and reductions
+    assert _same(tuple(cls._make(args)), stored)
+    assert _same(tuple(record._replace(**dict(zip(fields, args)))), stored)
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
@@ -109,3 +113,7 @@ def test_records_keep_their_contract(cls, fields, args, stored, length, bad):
         bad_args, error = bad
         with pytest.raises(error):
             cls(*bad_args)
+        with pytest.raises(error):
+            cls._make(bad_args)
+        with pytest.raises(error):
+            record._replace(**dict(zip(fields, bad_args)))

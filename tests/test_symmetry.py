@@ -1,6 +1,9 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersym import (
     Coloring,
@@ -18,10 +21,13 @@ from hypersym import (
     single_edge,
     verify_coloring,
 )
+from hypersym.modular import _SpanBasis, _SparseRows
+from hypersym.symmetry import _symmetry_report
 
 from helpers import (
     enumeration_symmetric,
     is_bipartite_bfs,
+    per_divisor_report,
     random_connected_bipartite,
     random_connected_hypergraph,
 )
@@ -149,3 +155,21 @@ def test_nikiforov_cyclic_index_is_two():
     report = cyclic_index(nikiforov(NikiforovParams(1, 6, 6, 4)))
     assert report.cyclic_index == 2
     assert report.divisor_evidence[4] is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    t=st.integers(2, 6),
+    factor=st.sampled_from([1, 2, 3]),
+)
+def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
+    graph = random_connected_hypergraph(rng, t, n_max=t + 4)
+    q = factor * t
+    oracle = per_divisor_report(graph, q)
+    a, _ = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges)).generator()
+    assert gcd(a, q) == q // oracle.cyclic_index
+    assert _symmetry_report(graph, q) == oracle
+    if q == t:
+        for ell, witness in oracle.divisor_evidence.items():
+            assert is_l_symmetric(graph, ell) == witness
