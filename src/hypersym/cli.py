@@ -21,7 +21,7 @@ from .errors import (
     DisconnectedError,
     FileFormatError,
     HypergraphError,
-    InternalConsistencyError,
+    HypersymError,
     ModulusMismatchError,
     ParameterError,
 )
@@ -39,6 +39,20 @@ EXIT_BUDGET = 5
 EXIT_NO_CONVERGENCE = 6
 EXIT_INTERNAL = 7
 EXIT_CONJECTURE_FAILS = 10
+
+# The exit code of an error is that of the first entry naming its class.
+_EXIT_CODES = (
+    ((FileFormatError, OSError), EXIT_PARSE),
+    ((DisconnectedError,), EXIT_DISCONNECTED),
+    ((BudgetExceededError,), EXIT_BUDGET),
+    ((ConvergenceError,), EXIT_NO_CONVERGENCE),
+    (
+        (ParameterError, HypergraphError, ModulusMismatchError, DimensionMismatchError),
+        EXIT_PARAMETER,
+    ),
+    # InternalConsistencyError, and any library error not named above: a bug
+    ((HypersymError,), EXIT_INTERNAL),
+)
 
 
 def cmd_analyze(args) -> int:
@@ -196,29 +210,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as err:
+    except (HypersymError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except DisconnectedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except BudgetExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (
-        ParameterError, HypergraphError, ModulusMismatchError, DimensionMismatchError
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except InternalConsistencyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for kinds, code in _EXIT_CODES if isinstance(err, kinds))
 
 
 if __name__ == "__main__":

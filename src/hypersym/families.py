@@ -140,20 +140,30 @@ def single_edge(m: int) -> Hypergraph:
     return build_hypergraph(m, m, [range(1, m + 1)])
 
 
+# Each kind's maker and its size in edges, in closed form; single_edge
+# is one edge of m vertices, so it counts as m.
 _STOCK = {
-    "cycle": cycle,
-    "path": path,
-    "complete": complete,
-    "single_edge": single_edge,
+    "cycle": (cycle, lambda n: n),
+    "path": (path, lambda n: n - 1),
+    "complete": (complete, lambda n: n * (n - 1) // 2),
+    "single_edge": (single_edge, lambda m: m),
 }
 
 
 def stock(kind: str, size: int) -> Hypergraph:
-    """Named test hypergraph: cycle, path, complete, or single_edge."""
+    """Named test hypergraph: cycle, path, complete, or single_edge.
+
+    The edge count is checked against `DEFAULT_EDGE_BUDGET` before
+    anything is built.
+    """
     try:
-        maker = _STOCK[kind]
+        maker, edge_count = _STOCK[kind]
     except KeyError:
         raise ParameterError(
             f"unknown kind {kind!r}, expected one of {sorted(_STOCK)}"
         ) from None
+    if edge_count(size) > DEFAULT_EDGE_BUDGET:
+        raise BudgetExceededError(
+            f"{kind} {size} is over the budget of {DEFAULT_EDGE_BUDGET} edges"
+        )
     return maker(size)

@@ -297,50 +297,31 @@ class _SpanBasis:
                 return pos, value
         return k, 0
 
-    def express(self, target: Sequence[int]) -> Optional[list[int]]:
-        """Coefficients x with A x = target (mod m), or None; x[0] is the
-        zero slot.
+    def express(self, target: Iterable[int]) -> tuple[int, list[int]]:
+        """(a, x) with A x = a * target (mod m); x[0] is the zero slot.
+
+        a = 1 exactly when the target is in the column span, and in any
+        case gcd(a, m) = g, where the b with b * target in the span are
+        exactly the multiples of g.
 
         One walk over the positions: the residual at `pos` is
-        target[pos] - (A x)[pos] for the current x, and a pivot placed
-        at `pos` is zero before it, so clearing `pos` keeps every
-        earlier position clear.
-        """
-        m = self.modulus
-        x = [0] * (self.width + 1)
-        for pos, (want, terms) in enumerate(zip(target, self._matrix.terms)):
-            r = (want - sum(terms(x))) % m
-            if not r:
-                continue
-            hit = self.pivots.get(pos)
-            if hit is None or r % hit[0]:
-                return None
-            p, pcoef = hit
-            lam = r // p
-            x = [(a + lam * b) % m for a, b in zip(x, pcoef)]
-        return x
-
-    def generator(self) -> tuple[int, list[int]]:
-        """(a, x) with A x = a * 1 (mod m) and gcd(a, m) = g, where the b
-        with b * 1 in the column span are exactly the multiples of g; x[0]
-        is the zero slot.
-
-        The `express` walk for the all-ones target, scaled where it would
-        fail: at a residual r that the pivot p (m where there is none)
-        does not divide, a and x are multiplied by u = p / gcd(r, p), the
-        least factor that makes u * r a multiple of p; then the position
-        is cleared as usual. Earlier positions are zero and stay so. The
-        basis is annihilator-closed, so a vector of the span that is zero
-        before `pos` has its entry there in p * Z_m. For b = c * a with
-        b * 1 in the span, c times the residual is such a vector, so u
-        divides c: each factor is forced, and the final a generates the
-        ideal of all such b.
+        a * target[pos] - (A x)[pos] for the current a and x, and a pivot
+        placed at `pos` is zero before it, so clearing `pos` keeps every
+        earlier position clear. At a residual r that the pivot p (m where
+        there is none) does not divide, a and x are first multiplied by
+        u = p / gcd(r, p), the least factor that makes u * r a multiple
+        of p. The basis is annihilator-closed, so a vector of the span
+        that is zero before `pos` has its entry there in p * Z_m. For
+        b = c * a with b * target in the span, c times the residual is
+        such a vector, so u divides c: each factor is forced, and the
+        final a generates the ideal of all such b. A target in the span
+        gives a residual in the span, so it is never scaled.
         """
         m = self.modulus
         a = 1
         x = [0] * (self.width + 1)
-        for pos, terms in enumerate(self._matrix.terms):
-            r = (a - sum(terms(x))) % m
+        for pos, (want, terms) in enumerate(zip(target, self._matrix.terms)):
+            r = (a * want - sum(terms(x))) % m
             if not r:
                 continue
             p, pcoef = self.pivots.get(pos, (m, None))
@@ -382,8 +363,8 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
     cols = [[j for j, a in enumerate(row, 1) if a] for row in matrix.entries]
     weights = [[row[j - 1] for j in c] for row, c in zip(matrix.entries, cols)]
     sparse = _SparseRows(matrix.cols, cols, weights)
-    x = _SpanBasis(matrix.modulus, sparse).express(rhs.entries)
-    if x is None:
+    a, x = _SpanBasis(matrix.modulus, sparse).express(rhs.entries)
+    if a != 1:
         return None
     witness = ModVector(matrix.modulus, x[1:])
     if mat_vec_mod(matrix, witness).entries != rhs.entries:

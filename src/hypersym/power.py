@@ -20,8 +20,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .modular import _SpanBasis, _SparseRows
-from .symmetry import Coloring, _edge_sums_hit, verify_coloring
+from .symmetry import Coloring, _index_generators, verify_coloring
 
 
 class PowerLayout(NamedTuple):
@@ -162,12 +161,13 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     B, once over Z_t and once over Z_m: the power's incidence is B with
     every column repeated s times, which spans the same submodule, so
     c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
-    Over each modulus q one generator walk gives the g with b * 1 in the
-    span exactly for the multiples b of g, so the index is q/g. The
-    characterization system B x = (t / c(base)) * 1 over Z_m has target
-    g_t, so it is solvable exactly when g_m divides g_t, which is
-    equivalent to equality. Theory-mandated divisibility relations are
-    asserted before the report is returned.
+    Over each modulus q one walk for the all-ones target gives the g with
+    b * 1 in the span exactly for the multiples b of g, so the index is
+    q/g (`symmetry._index_generators`). The characterization system
+    B x = (t / c(base)) * 1 over Z_m has target g_t, so it is solvable
+    exactly when g_m divides g_t, which is equivalent to equality.
+    Theory-mandated divisibility relations are asserted before the
+    report is returned.
     """
     if blowup < 2:
         raise ParameterError(f"blowup must be >= 2, got {blowup}")
@@ -175,8 +175,7 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    incidence = _SparseRows(graph.vertex_count, graph.edges)
-    g_base, g_power = (_generator(graph.edges, incidence, q) for q in (t, m))
+    (g_base, _), (g_power, _) = _index_generators(graph, (t, m))
     base_c = t // g_base
     power_c = m // g_power
     product = blowup * base_c
@@ -191,18 +190,6 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     )
     _assert_report_invariants(report, blowup)
     return report
-
-
-def _generator(edges, incidence: _SparseRows, modulus: int) -> int:
-    """The g with b * 1 in the span of B over Z_q exactly for the
-    multiples b of g, from one generator walk whose witness is checked by
-    edge sums; g divides q."""
-    a, x = _SpanBasis(modulus, incidence).generator()
-    if not _edge_sums_hit(edges, x, modulus, a):
-        raise InternalConsistencyError(
-            f"generator witness over Z_{modulus} fails edge-sum verification"
-        )
-    return gcd(a, modulus)
 
 
 def _assert_report_invariants(report: ConjectureReport, blowup: int) -> None:

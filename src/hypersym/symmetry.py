@@ -8,8 +8,9 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -105,9 +106,8 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     m = _check_order(graph, symmetry_order)
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
-    a, _ = basis.generator()
-    if (m // symmetry_order) % gcd(a, m):
+    [(g, basis)] = _index_generators(graph, (m,))
+    if (m // symmetry_order) % g:
         return None
     return _witness(graph.edges, basis, symmetry_order)
 
@@ -129,19 +129,17 @@ def _symmetry_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
 
     B is the incidence matrix of `graph`; witnesses are colorings mod q of
     its vertices and the report's index is the largest solvable l, q/g for
-    the g of `_SpanBasis.generator`. With q the uniformity this is the
+    the g of `_index_generators`. With q the uniformity this is the
     cyclic index. With q = s*t for a t-uniform base it is the cyclic index
     of the pure blow-up G^(st,s) (see `power.conjecture_check`), and
     `lift_single_member` turns each witness into one for the power.
 
     The caller checks connectivity, once; a connected graph has an edge.
-    One generator walk gives g, and only the divisors it marks solvable
-    get a witness, the one `express` finds (for l = 1, the zero vector).
-    The witness for l = q/g, whose target is g, checks the walk.
+    Order l is solvable exactly when g divides q/l, and only those orders
+    get a witness: the `express` solution on the same basis (for l = 1,
+    the zero vector).
     """
-    basis = _SpanBasis(modulus, _SparseRows(graph.vertex_count, graph.edges))
-    a, _ = basis.generator()
-    g = gcd(a, modulus)
+    [(g, basis)] = _index_generators(graph, (modulus,))
     evidence = {
         ell: None if (modulus // ell) % g else _witness(graph.edges, basis, ell)
         for ell in divisors(modulus)
@@ -149,15 +147,36 @@ def _symmetry_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
     return SymmetryReport(modulus // g, evidence)
 
 
+def _index_generators(
+    graph: Hypergraph, moduli: Iterable[int]
+) -> list[tuple[int, _SpanBasis]]:
+    """(g, basis) per modulus q: the span basis of the incidence B over
+    Z_q, and the g with B x = b * 1 solvable exactly for the multiples b
+    of g, so the index is q/g. B is prepared once for all the moduli; on
+    each basis one all-ones `express` walk gives B x = a * 1 with
+    g = gcd(a, q), and x is checked by edge sums."""
+    incidence = _SparseRows(graph.vertex_count, graph.edges)
+    out = []
+    for q in moduli:
+        basis = _SpanBasis(q, incidence)
+        a, x = basis.express(repeat(1))
+        if not _edge_sums_hit(graph.edges, x, q, a):
+            raise InternalConsistencyError(
+                f"all-ones walk over Z_{q} fails edge-sum verification"
+            )
+        out.append((gcd(a, q), basis))
+    return out
+
+
 def _witness(edges, basis: _SpanBasis, symmetry_order: int) -> Coloring:
-    """The `express` solution of B x = (q/l) * 1 over Z_q, which the
-    generator walk has marked solvable, checked by edge sums."""
+    """The `express` solution of B x = (q/l) * 1 over Z_q, for an order
+    that `_index_generators` has marked solvable, checked by edge sums."""
     q = basis.modulus
     if symmetry_order == 1:
         # the target is 0, for which `express` returns the zero vector
         return Coloring(q, [0] * basis.width)
-    x = basis.express([q // symmetry_order] * len(edges))
-    if x is None:
+    a, x = basis.express(repeat(q // symmetry_order))
+    if a != 1:
         raise InternalConsistencyError(
             f"order {symmetry_order} over Z_{q} is in the generator's ideal "
             "but has no solution"

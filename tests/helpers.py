@@ -5,9 +5,12 @@ check: solvability by exhaustive enumeration, connectivity by transitive
 closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
 bit-exact oracles for those kernels, and so is the dense-vector span
-basis that the coefficient-only `_SpanBasis` replaced, and the
-per-divisor route that the generator walk replaced. The block-constant
-lift lives here because only the tests use it.
+basis that the coefficient-only `_SpanBasis` replaced. Its `express`
+is the plain membership query, None off the span; `_SpanBasis.express`
+is the one walk that also scales. The per-divisor route, one query per
+divisor, is the oracle for the single all-ones walk that
+`symmetry._index_generators` runs per modulus. The block-constant lift
+lives here because only the tests use it.
 """
 
 from __future__ import annotations
@@ -215,8 +218,9 @@ class DenseSpanBasis:
 
     Same pivot rule, swaps, elimination order, 2x2 unimodular transforms
     and annihilator rows as `hypersym.modular._SpanBasis`, which keeps
-    coefficient vectors only; its pivots and `express` results must be
-    equal to these. Takes the dense rows of A, entries in [0, m).
+    coefficient vectors only; its pivots must equal these, and so must
+    its `express` solution whenever this `express` finds one. Takes the
+    dense rows of A, entries in [0, m).
     """
 
     def __init__(self, modulus, rows):
@@ -296,18 +300,18 @@ def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
 
     One span basis of the incidence B over Z_q, one `express` call per
     divisor, each witness checked by edge sums and the report checked for
-    divisor closure; the generator walk must give the same report.
+    divisor closure; `symmetry._symmetry_report`, which walks once for g
+    and then only for the solvable divisors, must give the same report.
     """
     q = modulus
     basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))
     evidence = {}
     for ell in divisors(q):
-        x = basis.express([q // ell] * graph.edge_count)
-        if x is not None:
+        a, x = basis.express([q // ell] * graph.edge_count)
+        if a == 1:
             # x[0] is the zero slot, so x[v] is the color of vertex v
             assert all(sum(x[v] for v in e) % q == (q // ell) % q for e in graph.edges)
-            x = Coloring(q, x[1:])
-        evidence[ell] = x
+        evidence[ell] = Coloring(q, x[1:]) if a == 1 else None
     solvable = [ell for ell, witness in evidence.items() if witness is not None]
     for ell in solvable:
         assert all(evidence[d] is not None for d in divisors(ell))

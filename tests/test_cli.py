@@ -7,6 +7,18 @@ import pytest
 
 import hypersym
 from hypersym import cycle, nikiforov, NikiforovParams, path
+from hypersym.errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    DimensionMismatchError,
+    DisconnectedError,
+    FileFormatError,
+    HypergraphError,
+    HypersymError,
+    InternalConsistencyError,
+    ModulusMismatchError,
+    ParameterError,
+)
 from hypersym.cli import main
 from hypersym.fileio import read_hypergraph, write_hypergraph
 
@@ -139,6 +151,15 @@ def test_gen_size_error(tmp_path):
     assert main(["gen", "cycle", "2", "-o", str(tmp_path / "x.hg")]) == 4
 
 
+def test_gen_over_the_edge_budget_writes_nothing(tmp_path, capsys):
+    # K_2000 has 1,999,000 edges: refused before any edge is built
+    assert main(["gen", "complete", "2000", "-o", str(tmp_path / "big.hg")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complete 2000 is over the budget of 1000000 edges\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rho_complete_graph(tmp_path, capsys):
     from hypersym import complete
 
@@ -265,16 +286,46 @@ def test_huge_vertex_header_is_disconnected_without_per_vertex_state(
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_internal_error_has_its_own_exit_code(c4_file, monkeypatch, capsys):
-    from hypersym import InternalConsistencyError
+# The exit codes README documents, by the nearest class an error derives from.
+DOCUMENTED_EXIT_CODES = {
+    FileFormatError: 2,
+    OSError: 2,
+    DisconnectedError: 3,
+    HypergraphError: 4,
+    ParameterError: 4,
+    ModulusMismatchError: 4,
+    DimensionMismatchError: 4,
+    BudgetExceededError: 5,
+    ConvergenceError: 6,
+    InternalConsistencyError: 7,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "kind", [*_subclasses(HypersymError), OSError], ids=lambda kind: kind.__name__
+)
+def test_internal_error_has_its_own_exit_code(kind, c4_file, monkeypatch, capsys):
+    # every error class reaches its documented code as one stderr line
+    code = next(DOCUMENTED_EXIT_CODES[c] for c in kind.__mro__ if c in DOCUMENTED_EXIT_CODES)
+    if kind is ConvergenceError:
+        err = kind("it failed", (1.5, 2.0), 10)
+    else:
+        err = kind("it failed")
 
     def broken(graph):
-        raise InternalConsistencyError("order 1 must always be solvable")
+        raise err
 
     monkeypatch.setattr("hypersym.cli.cyclic_index", broken)
-    assert main(["analyze", c4_file]) == 7
-    err = capsys.readouterr().err
-    assert err == "error: order 1 must always be solvable\n"
+    assert main(["analyze", c4_file]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: it failed\n"
 
 
 def test_power_rejects_a_vertex_in_no_edge(tmp_path, capsys):

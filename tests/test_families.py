@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from hypersym import (
+    DEFAULT_EDGE_BUDGET,
     BudgetExceededError,
     NikiforovParams,
     ParameterError,
@@ -125,3 +126,22 @@ def test_stock_single_edge():
 def test_stock_unknown_kind():
     with pytest.raises(ParameterError):
         stock("torus", 4)
+
+
+def test_stock_over_the_edge_budget_builds_nothing(monkeypatch):
+    # the closed-form count is checked first, so these return at once
+    for kind, size in (
+        ("cycle", DEFAULT_EDGE_BUDGET + 1),
+        ("path", DEFAULT_EDGE_BUDGET + 2),
+        ("complete", 1415),  # 1415 * 1414 / 2 = 1,000,405 edges
+        ("single_edge", DEFAULT_EDGE_BUDGET + 1),
+    ):
+        with pytest.raises(BudgetExceededError):
+            stock(kind, size)
+    # each closed form at the boundary: a budget of 6 admits C_6, P_7, K_4
+    # and the 6-vertex single edge, and refuses one more vertex of each
+    monkeypatch.setattr("hypersym.families.DEFAULT_EDGE_BUDGET", 6)
+    for kind, size in (("cycle", 6), ("path", 7), ("complete", 4), ("single_edge", 6)):
+        assert stock(kind, size).vertex_count == size
+        with pytest.raises(BudgetExceededError):
+            stock(kind, size + 1)

@@ -145,11 +145,13 @@ def test_entries_near_a_large_modulus_solve_at_once():
 
 def _assert_same_basis(rng, modulus, width, rows, weights, dense):
     """Coefficient-only basis against the dense-vector oracle: the same
-    pivots in the same order, and the same answer for every divisor target,
-    random targets and targets with a planted solution. The generator walk
-    solves A x = a * 1, and gcd(a, m) is the least divisor d of m whose
-    d * 1 the oracle expresses. `rows` number columns from 1, and every
-    coefficient vector has a leading zero slot that the oracle's lacks."""
+    pivots in the same order. For every divisor target (all-ones among
+    them), random target and target with a planted solution, the walk
+    solves A x = a * target; a = 1 exactly when the oracle expresses the
+    target, and x is then the oracle's solution; gcd(a, m) is the least
+    divisor d of m whose d * target the oracle expresses. `rows` number
+    columns from 1, and every coefficient vector has a leading zero slot
+    that the oracle's lacks."""
     new = _SpanBasis(modulus, _SparseRows(width, rows, weights))
     old = DenseSpanBasis(modulus, dense)
     assert list(new.pivots) == list(old.pivots)
@@ -163,13 +165,20 @@ def _assert_same_basis(rng, modulus, width, rows, weights, dense):
         x = [rng.randrange(modulus) for _ in range(width)]
         targets.append([sum(a * v for a, v in zip(row, x)) % modulus for row in dense])
     for target in targets:
-        x = old.express(target)
-        assert new.express(target) == (None if x is None else [0, *x])
-    a, x = new.generator()
-    assert x[0] == 0
-    assert [sum(e * v for e, v in zip(row, x[1:])) % modulus for row in dense] == [a] * k
-    least = min(d for d in divisors(modulus) if old.express([d] * k) is not None)
-    assert gcd(a, modulus) == least
+        a, x = new.express(target)
+        assert x[0] == 0
+        assert [sum(e * v for e, v in zip(row, x[1:])) % modulus for row in dense] == [
+            a * w % modulus for w in target
+        ]
+        expected = old.express(target)
+        assert (a == 1) == (expected is not None)
+        if a == 1:
+            assert x == [0, *expected]
+        least = next(
+            d for d in divisors(modulus)
+            if old.express([d * w for w in target]) is not None
+        )
+        assert gcd(a, modulus) == least
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
