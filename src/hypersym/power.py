@@ -13,14 +13,21 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     DisconnectedError,
     InternalConsistencyError,
     ModulusMismatchError,
     ParameterError,
 )
+from .families import DEFAULT_EDGE_BUDGET
 from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _index_generators, verify_coloring
+
+# The most vertex entries (edges times uniformity) a power may list.
+# With every base vertex in an edge, n <= k*t, so this also bounds the
+# power's vertex count n*s + k*(m - s*t) by twice the budget.
+ENTRY_BUDGET = 16 * DEFAULT_EDGE_BUDGET
 
 
 class PowerLayout(NamedTuple):
@@ -62,13 +69,19 @@ def generalized_power(
 
     Blocks are laid out base-vertex blocks first (contiguous, in base
     vertex order), then edge blocks in canonical edge order, so the
-    construction is deterministic and reproducible.
+    construction is deterministic and reproducible. The power's edge
+    entries, k*m, are counted first: past `ENTRY_BUDGET` nothing is built.
     """
     _check_power_parameters(graph, uniformity, blowup)
     t = graph.uniformity
     s = blowup
     m = uniformity
     n, k = graph.vertex_count, graph.edge_count
+    if k * m > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"power has {k * m} edge entries ({k} edges of {m} vertices), "
+            f"over the budget of {ENTRY_BUDGET}"
+        )
     pad = m - s * t
     vertex_blocks = tuple(
         tuple(range((v - 1) * s + 1, v * s + 1)) for v in range(1, n + 1)

@@ -1,14 +1,15 @@
 """Adjacency-tensor numerics: spectral radius and similarity certificates.
 
-The adjacency tensor is never materialized (it has n^m entries); every
-operation works on the (k, m) array of 0-based edge members instead.
-numpy is imported inside the functions, so the exact commands, which
-never call them, do not pay for loading it.
+The adjacency tensor is never materialized (it has n^m entries). The
+contraction and the power iteration work on the (k, m) array of 0-based
+edge members and import numpy inside their functions. The similarity
+check needs only the m phases of Z_m and is plain Python, so no command
+but `rho` pays for loading numpy.
 """
 
 from __future__ import annotations
 
-from math import isfinite, pi
+from math import cos, isfinite, pi, sin
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -49,7 +50,7 @@ class SimilarityCertificate(NamedTuple):
     """
 
     modulus: int
-    phases: np.ndarray
+    phases: tuple[complex, ...]
     rotation: complex
     max_deviation: float
 
@@ -83,7 +84,9 @@ def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
 
     Each slot's product over the other members is its prefix product
     times its suffix product, so zeros in x are safe. Contributions are
-    added edge by edge, in edge order, into a float (or complex) vector.
+    added edge by edge, in edge order, into a float (or complex) vector:
+    `np.bincount` sums its weights in input order, one real component
+    at a time.
     """
     import numpy as np
 
@@ -92,8 +95,16 @@ def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     ones = np.ones((len(edges), 1), dtype=np.intp)
     prefix = np.concatenate((ones, np.cumprod(vals[:, :-1], axis=1)), axis=1)
     suffix = np.concatenate((np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
+    terms = prefix * suffix
     out = np.zeros(n, dtype=np.result_type(x.dtype, np.float64))
-    np.add.at(out, edges, prefix * suffix)
+    if out.real.dtype != np.float64:
+        # bincount sums in float64 only; extended precision keeps its own
+        np.add.at(out, edges, terms)
+        return out
+    index, terms = edges.ravel(), terms.ravel()
+    out.real = np.bincount(index, terms.real, n)
+    if out.dtype.kind == "c":
+        out.imag = np.bincount(index, terms.imag, n)
     return out
 
 
@@ -170,25 +181,84 @@ def verify_similarity(
     lands from 1. A valid coloring makes the diagonal similarity exact,
     so the maximum deviation is numerically zero; any violated edge shows
     up as a deviation bounded away from zero.
+
+    An entry depends only on the colors of its edge in member order and
+    on the color of its leading vertex, so each distinct color tuple is
+    evaluated once, and within it each distinct color once. The float
+    operations are those of the array formula
+    |(prod(d) / d_i) * d_i^-(m-1) / rotation - 1| in numpy, in numpy's
+    order: the product from the first member on, Smith's complex
+    division with a reciprocal, binary powering, and libm's `hypot`
+    through `abs` of a complex (`math.hypot` rounds differently). The
+    deviation is thus the one numpy computes, bit for bit, for m < 101;
+    from there on numpy's power calls libm's `cpow` instead.
     """
     m = _check_order(graph, symmetry_order, coloring)
-    import numpy as np
-
-    phases = np.exp(2j * pi * np.array(coloring.values) / m)
-    rotation = complex(np.exp(2j * pi / symmetry_order))
-    d = phases[_edge_index(graph)]
-    full = d.prod(axis=1, keepdims=True)
-    others, own = full / d, d ** (-(m - 1))
-    # The complex product and modulus are spelled out in real arithmetic,
-    # rounded as for one complex number: numpy's vectorized complex
-    # multiply and abs may fuse or reorder operations, which moves the
-    # deviation by an ulp depending on the CPU.
-    value = np.empty_like(others)
-    value.real = others.real * own.real - others.imag * own.imag
-    value.imag = others.real * own.imag + others.imag * own.real
-    gap = value / rotation - 1.0
-    max_deviation = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
+    # numpy divides the angles by m as complex numbers: it multiplies by 1/m
+    step = 1.0 / m
+    table = [_unit(2 * pi * v * step) for v in range(m)]
+    rotation = _unit(2 * pi / symmetry_order)
+    re = [d.real for d in table]
+    im = [d.imag for d in table]
+    # per color: the constants for dividing by d, then d^-(m-1)
+    slots = []
+    for d in table:
+        own = _inverse_power(d, m - 1)
+        slots.append((*_division(d), own.real, own.imag))
+    rot_wide, rot_rat, rot_scl = _division(rotation)
+    get = (0, *coloring.values).__getitem__
+    worst = 0.0
+    for colors in {tuple(map(get, edge)) for edge in graph.edges}:
+        fr, fi = re[colors[0]], im[colors[0]]
+        for c in colors[1:]:
+            fr, fi = fr * re[c] - fi * im[c], fr * im[c] + fi * re[c]
+        for wide, rat, scl, wr, wi in map(slots.__getitem__, set(colors)):
+            if wide:
+                ar, ai = (fr + fi * rat) * scl, (fi - fr * rat) * scl
+            else:
+                ar, ai = (fr * rat + fi) * scl, (fi * rat - fr) * scl
+            vr, vi = ar * wr - ai * wi, ar * wi + ai * wr
+            if rot_wide:
+                gr, gi = (vr + vi * rot_rat) * rot_scl, (vi - vr * rot_rat) * rot_scl
+            else:
+                gr, gi = (vr * rot_rat + vi) * rot_scl, (vi * rot_rat - vr) * rot_scl
+            gap = abs(complex(gr - 1.0, gi))
+            if gap > worst:
+                worst = gap
     return SimilarityCertificate(
-        modulus=m, phases=phases, rotation=rotation, max_deviation=max_deviation
+        modulus=m,
+        phases=tuple(map(table.__getitem__, coloring.values)),
+        rotation=rotation,
+        max_deviation=worst,
     )
 
+
+def _unit(theta: float) -> complex:
+    """exp(i theta), as numpy's complex exp computes it at real part 0."""
+    return complex(cos(theta), sin(theta))
+
+
+def _division(d: complex) -> tuple[bool, float, float]:
+    """Smith's constants for dividing by d, as numpy divides: x / d is
+    ((xr + xi*rat)*scl, (xi - xr*rat)*scl) when `wide` (|Re d| >= |Im d|)
+    and ((xr*rat + xi)*scl, (xi*rat - xr)*scl) otherwise."""
+    if abs(d.real) >= abs(d.imag):
+        rat = d.imag / d.real
+        return True, rat, 1.0 / (d.real + d.imag * rat)
+    rat = d.real / d.imag
+    return False, rat, 1.0 / (d.imag + d.real * rat)
+
+
+def _inverse_power(d: complex, n: int) -> complex:
+    """d^-n for 0 < n < 100 as numpy computes it: binary powering from 1,
+    then 1 / r by Smith's rule."""
+    ar, ai, pr, pi_ = 1.0, 0.0, d.real, d.imag
+    while True:
+        if n & 1:
+            ar, ai = ar * pr - ai * pi_, ar * pi_ + ai * pr
+        n >>= 1
+        if not n:
+            break
+        pr, pi_ = pr * pr - pi_ * pi_, pr * pi_ + pi_ * pr
+    wide, rat, scl = _division(complex(ar, ai))
+    return complex(scl, -rat * scl) if wide else complex(rat * scl, -scl)

@@ -205,16 +205,11 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
     assert capsys.readouterr().out == "valid, max_deviation = 0.000e+00\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["analyze", "{c4}"],
-    ["conjecture", "{c4}", "--s", "2"],
-    ["power", "{c4}", "--s", "2", "-o", "{out}"],
-    ["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", "{out}"],
-])
-def test_exact_commands_do_not_load_numpy(c4_file, tmp_path, command):
-    """Nor `dataclasses` or `inspect`, which cost every short job start-up
-    time. The check is on what the command adds, so a module that the
-    interpreter loaded before it (a site hook, say) cannot fail it."""
+def _run_counting_imports(argv):
+    """Run the CLI in a fresh interpreter that fails if the command loads
+    numpy, `dataclasses` or `inspect`. The check is on what the command
+    adds, so a module that the interpreter loaded before it (a site hook,
+    say) cannot fail it."""
     src = str(Path(hypersym.__file__).resolve().parents[1])
     script = (
         "import sys\n"
@@ -225,15 +220,42 @@ def test_exact_commands_do_not_load_numpy(c4_file, tmp_path, command):
         "assert not loaded, f'loaded {sorted(loaded)}'\n"
         "sys.exit(code)\n"
     )
-    argv = [arg.format(c4=c4_file, out=tmp_path / "out.hg") for arg in command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{c4}"],
+    ["conjecture", "{c4}", "--s", "2"],
+    ["power", "{c4}", "--s", "2", "-o", "{out}"],
+    ["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", "{out}"],
+])
+def test_exact_commands_do_not_load_numpy(c4_file, tmp_path, command):
+    """Nor `dataclasses` or `inspect`, which cost every short job start-up
+    time."""
+    argv = [arg.format(c4=c4_file, out=tmp_path / "out.hg") for arg in command]
+    result = _run_counting_imports(argv)
     assert result.returncode == 0, result.stderr
     expected = {"analyze": "cyclic_index = 2", "conjecture": "equality = true"}
     assert expected.get(command[0], "wrote ") in result.stdout
+
+
+@pytest.mark.parametrize("values,verdict", [
+    ("1\n0\n1\n0\n", "valid"),
+    ("1\n1\n1\n1\n", "invalid"),
+], ids=["valid", "invalid"])
+def test_verify_coloring_does_not_load_numpy(c4_file, tmp_path, values, verdict):
+    # the similarity certificate is plain Python; only `rho` needs numpy
+    col = tmp_path / "c4.col"
+    col.write_text("modulus 2\n" + values)
+    result = _run_counting_imports(
+        ["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(f"{verdict}, max_deviation = ")
 
 
 @pytest.mark.parametrize("kind", ["hypergraph", "coloring"])
@@ -339,6 +361,20 @@ def test_power_rejects_a_vertex_in_no_edge(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: power requires every vertex to lie in an edge\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.hg"]
+
+
+@pytest.mark.parametrize(
+    "options", [["--s", "99999999999"], ["--s", "2", "--m", "99999999999"]], ids=["s", "m"]
+)
+def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, capsys):
+    # refused from the entry count k*m, before any block is built
+    out = tmp_path / "x.hg"
+    assert main(["power", c4_file, *options, "-o", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power has ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.hg"]
 
 
 # stdout and exit code of each command on the (6,6,4) family and its s=2

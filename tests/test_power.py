@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hypersym.power
 from hypersym import (
+    BudgetExceededError,
     Coloring,
     DisconnectedError,
     NikiforovParams,
@@ -20,6 +21,7 @@ from hypersym import (
     is_connected,
     lift_single_member,
     nikiforov,
+    nikiforov_edge_count,
     power_cyclic_index_shortcut,
     verify_coloring,
 )
@@ -75,6 +77,29 @@ def test_power_parameter_errors():
         generalized_power(cycle(3), 4, 0)
     with pytest.raises(ParameterError):
         generalized_power(cycle(3), 3, 2)
+
+
+def test_power_entry_budget_boundary(monkeypatch):
+    # the 4-cycle's s=2 power lists 4 edges of 4 vertices: 16 entries
+    monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 16)
+    power, _ = generalized_power(cycle(4), 4, 2)
+    assert power.edge_count * power.uniformity == 16
+    with pytest.raises(BudgetExceededError, match="20 edge entries"):
+        generalized_power(cycle(4), 5, 2)
+    monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 15)
+    with pytest.raises(BudgetExceededError, match="over the budget of 15"):
+        generalized_power(cycle(4), 4, 2)
+
+
+def test_power_entry_budget_refuses_before_building():
+    # 8 * 10^11 entries: building any block would exhaust memory
+    with pytest.raises(BudgetExceededError):
+        generalized_power(cycle(4), 2 * 10**11, 10**11)
+    with pytest.raises(BudgetExceededError):
+        generalized_power(cycle(4), 10**11, 2)
+    # the largest three-class family under the edge budget keeps its s=2 power
+    entries = nikiforov_edge_count(NikiforovParams(2, 14, 14, 10)) * 16
+    assert entries == 15_471_456 <= hypersym.power.ENTRY_BUDGET
 
 
 def test_shortcut():

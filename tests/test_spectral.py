@@ -94,6 +94,17 @@ def test_apply_adjacency_matches_per_edge_loop_on_family_and_power():
         _assert_kernel_matches_loop(g, np.ones(g.vertex_count))
 
 
+def test_apply_adjacency_keeps_extended_precision():
+    # np.bincount sums in float64 only; long double inputs keep theirs
+    rng = random.Random(64)
+    np_rng = np.random.default_rng(64)
+    g = random_hypergraph(rng, 4, n_max=8)
+    x = np_rng.uniform(-2.0, 2.0, g.vertex_count).astype(np.longdouble)
+    for vec in (x, x + 1j * x[::-1]):
+        _assert_kernel_matches_loop(g, vec)
+        assert apply_adjacency(g, vec).dtype == np.result_type(vec.dtype, np.float64)
+
+
 def test_apply_adjacency_edgeless_graph_is_zero():
     g = build_hypergraph(3, 5, [])
     y = apply_adjacency(g, np.arange(1.0, 6.0))
@@ -255,3 +266,43 @@ def test_similarity_matches_per_edge_loop_on_family_and_power():
     assert verify_similarity(base, base_coloring, 2).max_deviation <= 1e-12
     assert verify_similarity(base, base_coloring, 4).max_deviation > 1.0
 
+
+@pytest.mark.parametrize("t", [7, 8, 9, 12])
+def test_similarity_matches_per_edge_loop_at_high_uniformity(t):
+    rng = random.Random(70 + t)
+    for _ in range(4):
+        g = random_connected_hypergraph(rng, t, n_max=t + 3)
+        m = g.uniformity
+        for ell, witness in cyclic_index(g).divisor_evidence.items():
+            colorings = [Coloring(m, [rng.randrange(m) for _ in range(g.vertex_count)])]
+            if witness is not None:
+                values = list(witness.values)
+                values[0] = (values[0] + 1) % m
+                colorings += [witness, Coloring(m, values)]
+            for coloring in colorings:
+                got = verify_similarity(g, coloring, ell).max_deviation
+                assert got == similarity_deviation_loop(g, coloring, ell)
+
+
+def test_similarity_matches_per_edge_loop_on_random_power_colorings():
+    # a random coloring gives nearly every edge of the 8-uniform power its
+    # own color tuple, so almost no entry is shared between edges
+    _, _, power, _ = _family_and_power()
+    rng = random.Random(65)
+    for ell in (1, 2, 4, 8):
+        for _ in range(3):
+            coloring = Coloring(8, [rng.randrange(8) for _ in range(power.vertex_count)])
+            got = verify_similarity(power, coloring, ell).max_deviation
+            assert got == similarity_deviation_loop(power, coloring, ell)
+
+
+def test_similarity_certificate_phases_and_rotation():
+    params, base, _, _ = _family_and_power()
+    coloring = nikiforov_coloring(params)
+    cert = verify_similarity(base, coloring, 2)
+    assert cert.modulus == 4
+    assert type(cert.phases) is tuple
+    assert all(type(phase) is complex for phase in cert.phases)
+    want = np.exp(2j * np.pi * np.array(coloring.values) / 4)
+    assert cert.phases == tuple(want.tolist())
+    assert cert.rotation == complex(np.exp(2j * np.pi / 2))
