@@ -84,9 +84,7 @@ def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
 
     Each slot's product over the other members is its prefix product
     times its suffix product, so zeros in x are safe. Contributions are
-    added edge by edge, in edge order, into a float (or complex) vector:
-    `np.bincount` sums its weights in input order, one real component
-    at a time.
+    added edge by edge, in edge order, into a float (or complex) vector.
     """
     import numpy as np
 
@@ -95,16 +93,8 @@ def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     ones = np.ones((len(edges), 1), dtype=np.intp)
     prefix = np.concatenate((ones, np.cumprod(vals[:, :-1], axis=1)), axis=1)
     suffix = np.concatenate((np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
-    terms = prefix * suffix
     out = np.zeros(n, dtype=np.result_type(x.dtype, np.float64))
-    if out.real.dtype != np.float64:
-        # bincount sums in float64 only; extended precision keeps its own
-        np.add.at(out, edges, terms)
-        return out
-    index, terms = edges.ravel(), terms.ravel()
-    out.real = np.bincount(index, terms.real, n)
-    if out.dtype.kind == "c":
-        out.imag = np.bincount(index, terms.imag, n)
+    np.add.at(out, edges, prefix * suffix)
     return out
 
 
@@ -182,9 +172,10 @@ def verify_similarity(
     so the maximum deviation is numerically zero; any violated edge shows
     up as a deviation bounded away from zero.
 
-    An entry depends only on the colors of its edge in member order and
-    on the color of its leading vertex, so each distinct color tuple is
-    evaluated once, and within it each distinct color once. The float
+    An entry depends on its edge only through the product of the edge's
+    phases, taken in member order, and the color of its leading vertex.
+    So each distinct color tuple is multiplied out once, and the rest of
+    the formula runs once per distinct (product, color) pair. The float
     operations are those of the array formula
     |(prod(d) / d_i) * d_i^-(m-1) / rotation - 1| in numpy, in numpy's
     order: the product from the first member on, Smith's complex
@@ -207,12 +198,18 @@ def verify_similarity(
         slots.append((*_division(d), own.real, own.imag))
     rot_wide, rot_rat, rot_scl = _division(rotation)
     get = (0, *coloring.values).__getitem__
-    worst = 0.0
+    # colors met with each product; a product that is 0.0 in one tuple and
+    # -0.0 in another shares a key, which is harmless: the steps below only
+    # multiply and add, so the sign of a zero never reaches the modulus
+    present: dict[tuple[float, float], set[int]] = {}
     for colors in {tuple(map(get, edge)) for edge in graph.edges}:
         fr, fi = re[colors[0]], im[colors[0]]
         for c in colors[1:]:
             fr, fi = fr * re[c] - fi * im[c], fr * im[c] + fi * re[c]
-        for wide, rat, scl, wr, wi in map(slots.__getitem__, set(colors)):
+        present.setdefault((fr, fi), set()).update(colors)
+    worst = 0.0
+    for (fr, fi), leads in present.items():
+        for wide, rat, scl, wr, wi in map(slots.__getitem__, leads):
             if wide:
                 ar, ai = (fr + fi * rat) * scl, (fi - fr * rat) * scl
             else:

@@ -15,6 +15,7 @@ from hypersym import (
     complete,
     cycle,
     cyclic_index,
+    divisors,
     generalized_power,
     lift_single_member,
     nikiforov,
@@ -92,17 +93,6 @@ def test_apply_adjacency_matches_per_edge_loop_on_family_and_power():
         for x in _kernel_inputs(np_rng, g.vertex_count):
             _assert_kernel_matches_loop(g, x)
         _assert_kernel_matches_loop(g, np.ones(g.vertex_count))
-
-
-def test_apply_adjacency_keeps_extended_precision():
-    # np.bincount sums in float64 only; long double inputs keep theirs
-    rng = random.Random(64)
-    np_rng = np.random.default_rng(64)
-    g = random_hypergraph(rng, 4, n_max=8)
-    x = np_rng.uniform(-2.0, 2.0, g.vertex_count).astype(np.longdouble)
-    for vec in (x, x + 1j * x[::-1]):
-        _assert_kernel_matches_loop(g, vec)
-        assert apply_adjacency(g, vec).dtype == np.result_type(vec.dtype, np.float64)
 
 
 def test_apply_adjacency_edgeless_graph_is_zero():
@@ -236,10 +226,9 @@ def test_similarity_agrees_with_edge_sum_check():
             assert verify_similarity(g, bad, ell).max_deviation > 1e-12
 
 
-def test_similarity_matches_per_edge_loop():
-    rng = random.Random(62)
-    for _ in range(30):
-        g = random_connected_hypergraph(rng, rng.choice([2, 3, 4, 5, 6]), n_max=8)
+def _assert_similarity_matches_loop(rng, graphs, uniformities, n_max):
+    for _ in range(graphs):
+        g = random_connected_hypergraph(rng, rng.choice(uniformities), n_max=n_max)
         m = g.uniformity
         for ell, witness in cyclic_index(g).divisor_evidence.items():
             colorings = [Coloring(m, [rng.randrange(m) for _ in range(g.vertex_count)])]
@@ -250,6 +239,10 @@ def test_similarity_matches_per_edge_loop():
             for coloring in colorings:
                 got = verify_similarity(g, coloring, ell).max_deviation
                 assert got == similarity_deviation_loop(g, coloring, ell)
+
+
+def test_similarity_matches_per_edge_loop():
+    _assert_similarity_matches_loop(random.Random(62), 30, [2, 3, 4, 5, 6], n_max=8)
 
 
 def test_similarity_matches_per_edge_loop_on_family_and_power():
@@ -269,24 +262,12 @@ def test_similarity_matches_per_edge_loop_on_family_and_power():
 
 @pytest.mark.parametrize("t", [7, 8, 9, 12])
 def test_similarity_matches_per_edge_loop_at_high_uniformity(t):
-    rng = random.Random(70 + t)
-    for _ in range(4):
-        g = random_connected_hypergraph(rng, t, n_max=t + 3)
-        m = g.uniformity
-        for ell, witness in cyclic_index(g).divisor_evidence.items():
-            colorings = [Coloring(m, [rng.randrange(m) for _ in range(g.vertex_count)])]
-            if witness is not None:
-                values = list(witness.values)
-                values[0] = (values[0] + 1) % m
-                colorings += [witness, Coloring(m, values)]
-            for coloring in colorings:
-                got = verify_similarity(g, coloring, ell).max_deviation
-                assert got == similarity_deviation_loop(g, coloring, ell)
+    _assert_similarity_matches_loop(random.Random(70 + t), 4, [t], n_max=t + 3)
 
 
 def test_similarity_matches_per_edge_loop_on_random_power_colorings():
     # a random coloring gives nearly every edge of the 8-uniform power its
-    # own color tuple, so almost no entry is shared between edges
+    # own color tuple, and many tuples share a product
     _, _, power, _ = _family_and_power()
     rng = random.Random(65)
     for ell in (1, 2, 4, 8):
@@ -294,6 +275,42 @@ def test_similarity_matches_per_edge_loop_on_random_power_colorings():
             coloring = Coloring(8, [rng.randrange(8) for _ in range(power.vertex_count)])
             got = verify_similarity(power, coloring, ell).max_deviation
             assert got == similarity_deviation_loop(power, coloring, ell)
+
+
+def _disjoint_edges(m, tuples):
+    """m-uniform graph of disjoint edges, the j-th colored by tuples[j]."""
+    edges = [tuple(range(j * m + 1, (j + 1) * m + 1)) for j in range(len(tuples))]
+    coloring = Coloring(m, [c for colors in tuples for c in colors])
+    return build_hypergraph(m, m * len(tuples), edges), coloring
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10, 12])
+def test_similarity_matches_per_edge_loop_on_single_edges(m):
+    # with one edge the maximum is over at most m entries, so a modulus
+    # rounded 1 ulp off libm's hypot (math.hypot is, on some) shows
+    rng = random.Random(80 + m)
+    for _ in range(150):
+        g, coloring = _disjoint_edges(m, [[rng.randrange(m) for _ in range(m)]])
+        for ell in divisors(m):
+            got = verify_similarity(g, coloring, ell).max_deviation
+            assert got == similarity_deviation_loop(g, coloring, ell)
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_similarity_matches_per_edge_loop_on_valid_color_tuples(m):
+    # every edge sums to m/l, so each entry deviates from 1 by rounding only
+    # and the maximum sits on few (product, color) pairs; products are shared
+    # by tuples of different colors, so a pair left out shows
+    rng = random.Random(90 + m)
+    for ell in divisors(m):
+        tuples = []
+        for _ in range(1000):
+            head = [rng.randrange(m) for _ in range(m - 1)]
+            tuples.append(head + [(m // ell - sum(head)) % m])
+        g, coloring = _disjoint_edges(m, tuples)
+        assert verify_coloring(g, coloring, ell)
+        got = verify_similarity(g, coloring, ell).max_deviation
+        assert got == similarity_deviation_loop(g, coloring, ell) <= 1e-12
 
 
 def test_similarity_certificate_phases_and_rotation():
