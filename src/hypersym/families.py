@@ -52,13 +52,28 @@ class NikiforovParams(_NikiforovFields):
 
 def nikiforov_edge_count(params: NikiforovParams) -> int:
     """Closed-form edge count of the four intersection families."""
+    return _edge_count(params, comb)
+
+
+def _edge_count(params: NikiforovParams, binomial) -> int:
     k, a, b, c = params.k, params.size_a, params.size_b, params.size_c
     return (
-        comb(a, 2 * k) * comb(c, 2 * k)
-        + comb(b, 2 * k) * comb(c, 2 * k)
-        + comb(a, k) * comb(b, 3 * k)
-        + comb(a, 3 * k) * comb(b, k)
+        binomial(a, 2 * k) * binomial(c, 2 * k)
+        + binomial(b, 2 * k) * binomial(c, 2 * k)
+        + binomial(a, k) * binomial(b, 3 * k)
+        + binomial(a, 3 * k) * binomial(b, k)
     )
+
+
+def _binomial_up_to(n: int, j: int, cap: int) -> int:
+    """C(n, j), or the first of the rising C(n-j+i, i), i <= j, past `cap`."""
+    j = min(j, n - j)
+    value = 1
+    for i in range(1, j + 1):
+        value = value * (n - j + i) // i
+        if value > cap:
+            break
+    return value
 
 
 def nikiforov(
@@ -71,10 +86,14 @@ def nikiforov(
     (A, B) in (k, 3k), or (A, B) in (3k, k). Enumeration is exhaustive,
     so the projected edge count is checked against `budget` first.
     """
-    expected = nikiforov_edge_count(params)
+    # Each binomial stops once past the cap and is at least 1, so a count
+    # at most the cap is exact; up to 10^18 it is printed in full.
+    cap = max(budget, 10**18)
+    expected = _edge_count(params, lambda n, j: _binomial_up_to(n, j, cap))
     if expected > budget:
+        count = expected if expected <= cap else f"more than {cap}"
         raise BudgetExceededError(
-            f"family has {expected} edges, over the budget of {budget}"
+            f"family has {count} edges, over the budget of {budget}"
         )
     k = params.k
     a_set = range(1, params.size_a + 1)

@@ -139,23 +139,22 @@ class _SparseRows:
     lookups a span basis needs; built once and shared by every modulus.
 
     `rows[pos]` lists the columns of the nonzero entries of row `pos`,
-    numbered from 1, and `weights[pos]` those entries. With `weights`
-    None every listed entry is 1: `rows` is then the vertex tuple of each
-    edge, the incidence matrix without its zeros. A coefficient vector c
-    has a leading slot 0 that is always 0 and then one entry per column,
-    so a row indexes it directly, as `verify_coloring` indexes
-    `(0, *values)`. `terms[pos]` maps c to the terms of (A c)[pos]; a
-    0/1 row of two or more columns
-    gathers its coefficients with one `itemgetter`, any other row
-    multiplies each coefficient by its weight, so an entry a costs one
-    product, not a copies of a column. A column's mask is a k-bit integer
-    whose binary digit `pos` of `format(mask, f"0{k}b")` is 1 exactly
-    when row `pos` lists the column. Equal columns, those with the same
-    mask and, with `weights`, the same entries, form one class: `twins`
-    holds (mask, column indices) for each class of two or more, and
-    `single_masks[i]` is the mask of column `single_columns[i]`, which has
-    no equal. Callers pass program-built data; `ModMatrix` is the checked
-    entry point for anything else.
+    numbered from 1, and `weights[pos]` those entries. With `weights` None
+    every listed entry is 1: `rows` is then the vertex tuple of each edge,
+    the incidence matrix without its zeros. A coefficient vector c has a
+    leading slot 0 that is always 0 and then one entry per column, so a
+    row indexes it directly, as `verify_coloring` indexes `(0, *values)`.
+    `terms[pos]` maps c to the terms of (A c)[pos]; a 0/1 row, an edge of
+    two or more vertices, gathers its coefficients with one `itemgetter`,
+    a weighted row multiplies each coefficient by its weight, so an entry
+    a costs one product, not a copies of a column. A column's mask is a
+    k-bit integer whose binary digit `pos` of `format(mask, f"0{k}b")` is
+    1 exactly when row `pos` lists the column. Equal 0/1 columns, those
+    with the same mask, form one class: `twins` holds (mask, column
+    indices) for each class of two or more, and `single_masks[i]` is the
+    mask of column `single_columns[i]`, which has no equal. With `weights`
+    every column is its own class. Callers pass program-built data;
+    `ModMatrix` is the checked entry point for anything else.
     """
 
     def __init__(
@@ -171,15 +170,14 @@ class _SparseRows:
                 flags[j][pos] = 49  # ord("1")
         masks = [int(f, 2) for f in flags]
         if weights is None:
-            self.terms = [_row_terms(cols, None) for cols in rows]
-            keys: list = masks
+            self.terms = [itemgetter(*cols) for cols in rows]
+            keys: Sequence[int] = masks
         else:
-            self.terms = [_row_terms(c, w) for c, w in zip(rows, weights)]
-            entries: list[list[int]] = [[] for _ in range(width + 1)]
-            for cols, ws in zip(rows, weights):
-                for j, w in zip(cols, ws):
-                    entries[j].append(w)
-            keys = list(zip(masks, map(tuple, entries)))
+            self.terms = [
+                lambda coef, cols=cols, ws=ws: map(mul, ws, map(coef.__getitem__, cols))
+                for cols, ws in zip(rows, weights)
+            ]
+            keys = range(width + 1)
         classes: dict = {}
         for j in range(1, width + 1):
             classes.setdefault(keys[j], []).append(j)
@@ -334,14 +332,6 @@ class _SpanBasis:
                 lam = r // p
                 x = [(v + lam * b) % m for v, b in zip(x, pcoef)]
         return a, x
-
-
-def _row_terms(cols: Sequence[int], weights: Optional[Sequence[int]]):
-    """Callable mapping a coefficient vector to the terms of one row's entry."""
-    if weights is None and len(cols) > 1:
-        return itemgetter(*cols)
-    weights = weights if weights is not None else (1,) * len(cols)
-    return lambda coef: map(mul, weights, map(coef.__getitem__, cols))
 
 
 def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:

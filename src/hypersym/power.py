@@ -24,9 +24,9 @@ from .families import DEFAULT_EDGE_BUDGET
 from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _index_generators, verify_coloring
 
-# The most vertex entries (edges times uniformity) a power may list.
-# With every base vertex in an edge, n <= k*t, so this also bounds the
-# power's vertex count n*s + k*(m - s*t) by twice the budget.
+# The most vertex entries (edges times uniformity) a power may list, and
+# the most vertices n*s + k*(m - s*t) it may have. With every base vertex
+# in an edge, n <= k*t, so the vertex count is at most the entry count.
 ENTRY_BUDGET = 16 * DEFAULT_EDGE_BUDGET
 
 
@@ -70,7 +70,8 @@ def generalized_power(
     Blocks are laid out base-vertex blocks first (contiguous, in base
     vertex order), then edge blocks in canonical edge order, so the
     construction is deterministic and reproducible. The power's edge
-    entries, k*m, are counted first: past `ENTRY_BUDGET` nothing is built.
+    entries, k*m, and its vertices are counted first: past `ENTRY_BUDGET`
+    nothing is built.
     """
     _check_power_parameters(graph, uniformity, blowup)
     t = graph.uniformity
@@ -83,6 +84,10 @@ def generalized_power(
             f"over the budget of {ENTRY_BUDGET}"
         )
     pad = m - s * t
+    if n * s + k * pad > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"power has {n * s + k * pad} vertices, over the budget of {ENTRY_BUDGET}"
+        )
     vertex_blocks = tuple(
         tuple(range((v - 1) * s + 1, v * s + 1)) for v in range(1, n + 1)
     )

@@ -115,36 +115,20 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
-    Every divisor of m is decided and recorded, and divisor closure (a
-    witness for l implies one for every divisor of l) holds by
-    construction: l is solvable exactly when g divides m/l.
+    Every divisor l of m is decided and recorded: l is solvable exactly
+    when the g of `_index_generators` divides m/l, so divisor closure
+    holds by construction. A solvable order's witness is the `express`
+    solution on the same basis (for l = 1, the zero vector).
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
-    return _symmetry_report(graph, graph.uniformity)
-
-
-def _symmetry_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
-    """Every divisor l of q = modulus decided: B x = (q/l) * 1 over Z_q.
-
-    B is the incidence matrix of `graph`; witnesses are colorings mod q of
-    its vertices and the report's index is the largest solvable l, q/g for
-    the g of `_index_generators`. With q the uniformity this is the
-    cyclic index. With q = s*t for a t-uniform base it is the cyclic index
-    of the pure blow-up G^(st,s) (see `power.conjecture_check`), and
-    `lift_single_member` turns each witness into one for the power.
-
-    The caller checks connectivity, once; a connected graph has an edge.
-    Order l is solvable exactly when g divides q/l, and only those orders
-    get a witness: the `express` solution on the same basis (for l = 1,
-    the zero vector).
-    """
-    [(g, basis)] = _index_generators(graph, (modulus,))
+    m = graph.uniformity
+    [(g, basis)] = _index_generators(graph, (m,))
     evidence = {
-        ell: None if (modulus // ell) % g else _witness(graph.edges, basis, ell)
-        for ell in divisors(modulus)
+        ell: None if (m // ell) % g else _witness(graph.edges, basis, ell)
+        for ell in divisors(m)
     }
-    return SymmetryReport(modulus // g, evidence)
+    return SymmetryReport(m // g, evidence)
 
 
 def _index_generators(

@@ -300,8 +300,9 @@ def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
 
     One span basis of the incidence B over Z_q, one `express` call per
     divisor, each witness checked by edge sums and the report checked for
-    divisor closure; `symmetry._symmetry_report`, which walks once for g
-    and then only for the solvable divisors, must give the same report.
+    divisor closure; `cyclic_index`, which walks once for g and then only
+    for the solvable divisors, must give the same report when q is the
+    uniformity.
     """
     q = modulus
     basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))

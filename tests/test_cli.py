@@ -133,12 +133,31 @@ def test_nikiforov_generator_rejects_small_class(tmp_path):
     assert main(["nikiforov", "--k", "1", "--sizes", "6,6,3", "-o", str(out)]) == 4
 
 
-def test_nikiforov_generator_budget(tmp_path):
+def test_nikiforov_generator_budget(tmp_path, capsys):
     out = tmp_path / "nik.hg"
     code = main(
         ["nikiforov", "--k", "1", "--sizes", "6,6,4", "--budget", "10", "-o", str(out)]
     )
     assert code == 5
+    assert capsys.readouterr().err == "error: family has 420 edges, over the budget of 10\n"
+
+
+@pytest.mark.parametrize(
+    "k, sizes",
+    [(2000, "12000,12000,8000"), (100000, "600000,600000,400000")],
+    ids=["k2000", "k100000"],
+)
+def test_nikiforov_far_over_the_budget_writes_nothing(tmp_path, capsys, k, sizes):
+    # the exact counts have thousands of digits; the refusal never forms them
+    out = tmp_path / "big.hg"
+    assert main(["nikiforov", "--k", str(k), "--sizes", sizes, "-o", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: family has more than 1000000000000000000 edges, "
+        "over the budget of 1000000\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_cycle(tmp_path):

@@ -68,6 +68,9 @@ def test_parameter_validation():
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         nikiforov(NikiforovParams(1, 6, 6, 4), budget=419)
+    # about 5,960 digits: refused from a capped count, never the exact one
+    with pytest.raises(BudgetExceededError, match="more than"):
+        nikiforov(NikiforovParams(2000, 12000, 12000, 8000))
 
 
 def test_every_edge_matches_exactly_one_pattern():

@@ -25,9 +25,11 @@ from hypersym import (
     power_cyclic_index_shortcut,
     verify_coloring,
 )
-from hypersym.symmetry import _symmetry_report
-
-from helpers import lift_block_constant, random_connected_hypergraph
+from helpers import (
+    lift_block_constant,
+    per_divisor_report,
+    random_connected_hypergraph,
+)
 
 
 def test_power_counts_pure_blowup():
@@ -89,6 +91,12 @@ def test_power_entry_budget_boundary(monkeypatch):
     monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 15)
     with pytest.raises(BudgetExceededError, match="over the budget of 15"):
         generalized_power(cycle(4), 4, 2)
+    # one edge of 4 entries, but a vertex block for every declared vertex
+    monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 16)
+    with pytest.raises(BudgetExceededError, match="18 vertices"):
+        generalized_power(build_hypergraph(2, 9, [(1, 2)]), 4, 2)
+    power, _ = generalized_power(build_hypergraph(2, 8, [(1, 2)]), 4, 2)
+    assert power.vertex_count == 16
 
 
 def test_power_entry_budget_refuses_before_building():
@@ -216,7 +224,7 @@ def _assert_base_route_matches_built_power(base, s):
     power, layout = generalized_power(base, m, s)
     built = cyclic_index(power)
     assert conjecture_check(base, s).power_cyclic_index == built.cyclic_index
-    over_zm = _symmetry_report(base, m)
+    over_zm = per_divisor_report(base, m)
     assert over_zm.cyclic_index == built.cyclic_index
     for ell, witness in over_zm.divisor_evidence.items():
         assert (witness is None) == (built.divisor_evidence[ell] is None)
