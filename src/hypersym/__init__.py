@@ -52,7 +52,6 @@ from .power import (
 from .spectral import (
     SimilarityCertificate,
     SpectralEstimate,
-    apply_adjacency,
     power_iteration_rho,
     verify_similarity,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SpectralEstimate",
     "SymmetryReport",
     "VertexRangeError",
-    "apply_adjacency",
     "blowup_symmetry_coloring",
     "build_hypergraph",
     "complete",

@@ -1,20 +1,23 @@
 """Adjacency-tensor numerics: spectral radius and similarity certificates.
 
 The adjacency tensor is never materialized (it has n^m entries). The
-contraction and the power iteration work on the (k, m) array of 0-based
-edge members and import numpy inside their functions. The similarity
-check needs only the m phases of Z_m and is plain Python, so no command
-but `rho` pays for loading numpy.
+power iteration contracts it with a float64 vector through one kernel:
+it gathers x slot by slot from the (k, m) array of 0-based edge members,
+builds each slot's product over the other members as whole-slot vector
+products, and sums them edge by edge with `np.bincount`. numpy is
+imported inside these functions. The similarity check needs only the m
+phases of Z_m and is plain Python, so no command but `rho` pays for
+loading numpy.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import cos, isfinite, pi, sin
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ConvergenceError,
-    DimensionMismatchError,
     DisconnectedError,
     InternalConsistencyError,
     ParameterError,
@@ -55,47 +58,40 @@ class SimilarityCertificate(NamedTuple):
     max_deviation: float
 
 
-def apply_adjacency(graph: Hypergraph, x) -> np.ndarray:
-    """Contract the adjacency tensor with x in every slot but the first.
-
-    Component i sums, over edges containing i, the product of x over the
-    other edge members; the (m-1)! symmetric orderings cancel the
-    1/(m-1)! entry weight.
-    """
-    import numpy as np
-
-    vec = np.asarray(x)
-    if vec.shape != (graph.vertex_count,):
-        raise DimensionMismatchError(
-            f"expected a vector of length {graph.vertex_count}, got shape {vec.shape}"
-        )
-    return _contract(_edge_index(graph), vec, graph.vertex_count)
-
-
 def _edge_index(graph: Hypergraph) -> np.ndarray:
     """The edges as a (k, m) intp array of 0-based vertex indices."""
     import numpy as np
 
-    return np.array(graph.edges, dtype=np.intp).reshape(graph.edge_count, graph.uniformity) - 1
+    k, m = graph.edge_count, graph.uniformity
+    edges = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=k * m)
+    edges -= 1
+    return edges.reshape(k, m)
 
 
 def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """apply_adjacency on a prepared edge index, without division.
+    """Contract the adjacency tensor with float64 x in every slot but the first.
 
-    Each slot's product over the other members is its prefix product
-    times its suffix product, so zeros in x are safe. Contributions are
-    added edge by edge, in edge order, into a float (or complex) vector.
+    Component i sums, over edges containing i, the product of x over the
+    other edge members; the (m-1)! symmetric orderings cancel the
+    1/(m-1)! entry weight. A slot's product is its suffix product (right
+    to left) times its prefix product (left to right), so zeros in x are
+    safe. Both run one slot at a time over all edges, and the weights are
+    summed edge by edge, in edge order, so the result is the per-edge
+    loop's bit for bit.
     """
     import numpy as np
 
-    vals = x[edges]
-    # integer ones: for float32 x, prefix and suffix and their product are float64
-    ones = np.ones((len(edges), 1), dtype=np.intp)
-    prefix = np.concatenate((ones, np.cumprod(vals[:, :-1], axis=1)), axis=1)
-    suffix = np.concatenate((np.cumprod(vals[:, :0:-1], axis=1)[:, ::-1], ones), axis=1)
-    out = np.zeros(n, dtype=np.result_type(x.dtype, np.float64))
-    np.add.at(out, edges, prefix * suffix)
-    return out
+    vals = x[edges.T]  # vals[j]: slot j of every edge
+    w = np.empty(edges.shape)
+    w[:, -2] = vals[-1]  # suffix products, right to left
+    for j in range(len(vals) - 3, -1, -1):
+        np.multiply(w[:, j + 1], vals[j + 1], out=w[:, j])
+    w[:, -1] = vals[0]  # the running prefix product, left to right
+    for j in range(1, len(vals) - 1):
+        w[:, j] *= w[:, -1]
+        w[:, -1] *= vals[j]
+    # bincount of an empty index is integer, whatever the weights
+    return np.bincount(edges.ravel(), weights=w.ravel(), minlength=n).astype(float, copy=False)
 
 
 def power_iteration_rho(
@@ -111,7 +107,9 @@ def power_iteration_rho(
 
     Raises ConvergenceError (carrying the last bracket) if the width does
     not reach `tolerance` within `max_iterations`; this happens for some
-    spectrally symmetric inputs, where the bracket stalls.
+    spectrally symmetric inputs, where the bracket stalls. It raises at
+    once on a bracket that is not finite, as when x^(m-1) underflows at
+    high uniformity.
     """
     if not (isfinite(tolerance) and tolerance > 0):
         raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
@@ -128,8 +126,16 @@ def power_iteration_rho(
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iterations + 1):
         y = _contract(edges, x, n)
-        ratios = y / x ** (m - 1)
+        with np.errstate(all="ignore"):
+            ratios = y / x ** (m - 1)
         lo, hi = float(ratios.min()), float(ratios.max())
+        if not (isfinite(lo) and isfinite(hi)):
+            raise ConvergenceError(
+                f"bracket [{lo}, {hi}] is not finite at iteration {iteration}: "
+                f"x^{m - 1} leaves the float range",
+                bracket=(lo, hi),
+                iterations=iteration,
+            )
         if history:
             prev_lo, prev_hi = history[-1]
             slack = _BRACKET_SLACK * max(1.0, abs(prev_hi))

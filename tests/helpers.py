@@ -10,7 +10,8 @@ is the plain membership query, None off the span; `_SpanBasis.express`
 is the one walk that also scales. The per-divisor route, one query per
 divisor, is the oracle for the single all-ones walk that
 `symmetry._index_generators` runs per modulus. The block-constant lift
-lives here because only the tests use it.
+and `apply_adjacency`, the contraction kernel on a graph, live here
+because only the tests use them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from hypersym import (
     divisors,
 )
 from hypersym.modular import _SpanBasis, _SparseRows, _unit_for, _xgcd
+from hypersym.spectral import _contract, _edge_index
 
 
 def enumeration_solvable(entries, rhs, modulus) -> bool:
@@ -89,17 +91,26 @@ def adjacency_bruteforce(graph: Hypergraph, x) -> np.ndarray:
     return out
 
 
-def apply_adjacency_loop(graph: Hypergraph, x) -> np.ndarray:
-    """Tensor contraction one edge at a time, by prefix and suffix products."""
-    vec = np.asarray(x)
-    out = np.zeros(graph.vertex_count, dtype=np.result_type(vec.dtype, np.float64))
-    for edge in graph.edges:
-        idx = np.array(edge) - 1
-        vals = vec[idx]
+def apply_adjacency(graph: Hypergraph, x) -> np.ndarray:
+    """The library's contraction kernel on a graph and a float64 vector."""
+    return _contract(_edge_index(graph), np.asarray(x, dtype=np.float64), graph.vertex_count)
+
+
+def contract_loop(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """`spectral._contract` one edge at a time, by prefix and suffix products."""
+    out = np.zeros(n)
+    for idx in edges:
+        vals = x[idx]
         prefix = np.concatenate(([1], np.cumprod(vals[:-1])))
         suffix = np.concatenate((np.cumprod(vals[:0:-1])[::-1], [1]))
         out[idx] += prefix * suffix
     return out
+
+
+def apply_adjacency_loop(graph: Hypergraph, x) -> np.ndarray:
+    """Tensor contraction one edge at a time, by prefix and suffix products."""
+    edges = np.array(graph.edges, dtype=np.intp).reshape(graph.edge_count, graph.uniformity)
+    return contract_loop(edges - 1, np.asarray(x, dtype=np.float64), graph.vertex_count)
 
 
 def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) -> float:

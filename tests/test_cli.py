@@ -195,6 +195,23 @@ def test_rho_nonconvergence(tmp_path, capsys):
     assert "bracket" in capsys.readouterr().err
 
 
+def test_rho_at_high_uniformity_fails_at_once_on_one_line(tmp_path):
+    # x^399 underflows: exit 6 at the first bracket, with no numpy warning
+    target = tmp_path / "e.hg"
+    assert main(["gen", "single_edge", "400", "-o", str(target)]) == 0
+    src = str(Path(hypersym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hypersym.cli", "rho", str(target)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 6
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: bracket [nan, nan] is not finite at iteration 1: x^399 leaves the float range"
+    ]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_rho_rejects_non_finite_tolerance(c4_file, tol, capsys):
     assert main(["rho", c4_file, "--tol", tol]) == 4
@@ -453,6 +470,16 @@ GOLDEN_FAMILY_OUTPUT = [
         "characterization_solvable = true\n"
         "guaranteed_symmetry = 6\n"
         "c(power) = 6 = s*c(base)\n"
+    )),
+    ("family", ["rho", "--tol", "1e-8"], 0, (
+        "rho = 105.574385242343\n"
+        "residual = 2.220e-09\n"
+        "iterations = 14\n"
+    )),
+    ("power", ["rho", "--tol", "1e-8"], 0, (
+        "rho = 105.574385241719\n"
+        "residual = 4.265e-09\n"
+        "iterations = 19\n"
     )),
 ]
 
