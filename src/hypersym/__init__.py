@@ -28,7 +28,6 @@ from .families import (
     cycle,
     nikiforov,
     nikiforov_coloring,
-    nikiforov_edge_count,
     path,
     single_edge,
     stock,
@@ -43,10 +42,8 @@ from .modular import ModMatrix, ModVector, mat_vec_mod, solve_linear_mod
 from .power import (
     ConjectureReport,
     PowerLayout,
-    blowup_symmetry_coloring,
     conjecture_check,
     generalized_power,
-    lift_single_member,
     power_cyclic_index_shortcut,
 )
 from .spectral import (
@@ -92,7 +89,6 @@ __all__ = [
     "SpectralEstimate",
     "SymmetryReport",
     "VertexRangeError",
-    "blowup_symmetry_coloring",
     "build_hypergraph",
     "complete",
     "conjecture_check",
@@ -103,11 +99,9 @@ __all__ = [
     "incidence_matrix",
     "is_connected",
     "is_l_symmetric",
-    "lift_single_member",
     "mat_vec_mod",
     "nikiforov",
     "nikiforov_coloring",
-    "nikiforov_edge_count",
     "path",
     "power_cyclic_index_shortcut",
     "power_iteration_rho",

@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 success (or equality holding),
 10 conjecture violated on this instance (a finding, not an error),
-2 parse failure, 3 disconnected input, 4 bad parameter, 5 enumeration
-budget exceeded, 6 power iteration did not converge, 7 internal
-consistency check failed (a bug, not bad input).
+2 a file could not be read, parsed or written, 3 disconnected input,
+4 bad parameter, 5 enumeration budget exceeded, 6 power iteration did
+not converge, 7 internal consistency check failed (a bug, not bad input).
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
@@ -50,18 +49,13 @@ class NikiforovParams(_NikiforovFields):
         return self.size_a + self.size_b + self.size_c
 
 
-def nikiforov_edge_count(params: NikiforovParams) -> int:
-    """Closed-form edge count of the four intersection families."""
-    return _edge_count(params, comb)
-
-
-def _edge_count(params: NikiforovParams, binomial) -> int:
+def _edge_count(params: NikiforovParams, cap: int) -> int:
     k, a, b, c = params.k, params.size_a, params.size_b, params.size_c
     return (
-        binomial(a, 2 * k) * binomial(c, 2 * k)
-        + binomial(b, 2 * k) * binomial(c, 2 * k)
-        + binomial(a, k) * binomial(b, 3 * k)
-        + binomial(a, 3 * k) * binomial(b, k)
+        _binomial_up_to(a, 2 * k, cap) * _binomial_up_to(c, 2 * k, cap)
+        + _binomial_up_to(b, 2 * k, cap) * _binomial_up_to(c, 2 * k, cap)
+        + _binomial_up_to(a, k, cap) * _binomial_up_to(b, 3 * k, cap)
+        + _binomial_up_to(a, 3 * k, cap) * _binomial_up_to(b, k, cap)
     )
 
 
@@ -86,10 +80,12 @@ def nikiforov(
     (A, B) in (k, 3k), or (A, B) in (3k, k). Enumeration is exhaustive,
     so the projected edge count is checked against `budget` first.
     """
+    if budget < 0:
+        raise ParameterError(f"budget must be >= 0, got {budget}")
     # Each binomial stops once past the cap and is at least 1, so a count
     # at most the cap is exact; up to 10^18 it is printed in full.
     cap = max(budget, 10**18)
-    expected = _edge_count(params, lambda n, j: _binomial_up_to(n, j, cap))
+    expected = _edge_count(params, cap)
     if expected > budget:
         count = expected if expected <= cap else f"more than {cap}"
         raise BudgetExceededError(

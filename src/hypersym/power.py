@@ -14,10 +14,8 @@ from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     DisconnectedError,
     InternalConsistencyError,
-    ModulusMismatchError,
     ParameterError,
 )
 from .families import DEFAULT_EDGE_BUDGET
@@ -106,9 +104,10 @@ def generalized_power(
     power = Hypergraph(m, n * s + k * pad, edges)
     layout = PowerLayout(t, s, m, vertex_blocks, edge_blocks)
     if pad == 0 and s > 1:
-        # self-check: the single-member all-ones coloring always witnesses
-        # order-s symmetry of a pure blow-up
-        if not verify_coloring(power, blowup_symmetry_coloring(layout), s):
+        # self-check: 1 on the first member of each block and 0 elsewhere
+        # sums to t on every edge, a witness of order-s symmetry
+        witness = Coloring(m, ([1] + [0] * (s - 1)) * n)
+        if not verify_coloring(power, witness, s):
             raise InternalConsistencyError("blow-up lost its order-s witness")
     return power, layout
 
@@ -137,39 +136,6 @@ def _check_power_parameters(graph: Hypergraph, uniformity: int, blowup: int) -> 
         raise ParameterError(
             f"uniformity {uniformity} is below blowup * base uniformity {blowup * t}"
         )
-
-
-def lift_single_member(layout: PowerLayout, base: Coloring) -> Coloring:
-    """Extend a base coloring, placing each value on one block member only.
-
-    Takes colors mod m; the first member of each vertex block carries the
-    base value, every other new vertex gets 0. Edge sums of the power then
-    equal the base edge sums.
-    """
-    if base.modulus != layout.uniformity:
-        raise ModulusMismatchError(
-            f"base coloring modulus {base.modulus} != power uniformity "
-            f"{layout.uniformity}"
-        )
-    return Coloring(layout.uniformity, _spread(layout, base.values))
-
-
-def blowup_symmetry_coloring(layout: PowerLayout) -> Coloring:
-    """The all-ones single-member coloring witnessing order-s symmetry."""
-    ones = Coloring(layout.uniformity, (1,) * len(layout.vertex_blocks))
-    return lift_single_member(layout, ones)
-
-
-def _spread(layout: PowerLayout, values) -> list[int]:
-    if len(values) != len(layout.vertex_blocks):
-        raise DimensionMismatchError("coloring length != base vertex count")
-    total = len(layout.vertex_blocks) * layout.blowup + sum(
-        len(b) for b in layout.edge_blocks
-    )
-    out = [0] * total
-    for block, value in zip(layout.vertex_blocks, values):
-        out[block[0] - 1] = value
-    return out
 
 
 def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:

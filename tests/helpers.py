@@ -9,7 +9,8 @@ basis that the coefficient-only `_SpanBasis` replaced. Its `express`
 is the plain membership query, None off the span; `_SpanBasis.express`
 is the one walk that also scales. The per-divisor route, one query per
 divisor, is the oracle for the single all-ones walk that
-`symmetry._index_generators` runs per modulus. The block-constant lift
+`symmetry._index_generators` runs per modulus. The block-constant and
+single-member lifts, the uncapped edge count of the three-class family
 and `apply_adjacency`, the contraction kernel on a graph, live here
 because only the tests use them.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from hypersym import (
     Coloring,
     Hypergraph,
+    NikiforovParams,
     PowerLayout,
     SymmetryReport,
     build_hypergraph,
@@ -144,6 +146,35 @@ def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:
         for u in block:
             values[u - 1] = value
     return Coloring(layout.uniformity, values)
+
+
+def lift_single_member(layout: PowerLayout, base: Coloring) -> Coloring:
+    """Extend a base coloring, placing each value on one block member only.
+
+    Takes colors mod m = layout.uniformity; the first member of each
+    vertex block carries the base value, every other new vertex gets 0.
+    Edge sums of the power then equal the base edge sums.
+    """
+    assert base.modulus == layout.uniformity
+    assert len(base.values) == len(layout.vertex_blocks)
+    total = len(layout.vertex_blocks) * layout.blowup + sum(
+        len(b) for b in layout.edge_blocks
+    )
+    values = [0] * total
+    for block, value in zip(layout.vertex_blocks, base.values):
+        values[block[0] - 1] = value
+    return Coloring(layout.uniformity, values)
+
+
+def nikiforov_edge_count(params: NikiforovParams) -> int:
+    """Exact edge count of the four intersection families, uncapped."""
+    k, a, b, c = params.k, params.size_a, params.size_b, params.size_c
+    return (
+        math.comb(a, 2 * k) * math.comb(c, 2 * k)
+        + math.comb(b, 2 * k) * math.comb(c, 2 * k)
+        + math.comb(a, k) * math.comb(b, 3 * k)
+        + math.comb(a, 3 * k) * math.comb(b, k)
+    )
 
 
 def random_hypergraph(rng: random.Random, t: int, n_max: int = 8) -> Hypergraph:

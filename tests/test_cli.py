@@ -133,6 +133,13 @@ def test_nikiforov_generator_rejects_small_class(tmp_path):
     assert main(["nikiforov", "--k", "1", "--sizes", "6,6,3", "-o", str(out)]) == 4
 
 
+def test_nikiforov_generator_rejects_two_sizes(tmp_path, capsys):
+    out = tmp_path / "nik.hg"
+    assert main(["nikiforov", "--k", "1", "--sizes", "6,6", "-o", str(out)]) == 4
+    assert capsys.readouterr().err == "error: --sizes wants 'a,b,c', got '6,6'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nikiforov_generator_budget(tmp_path, capsys):
     out = tmp_path / "nik.hg"
     code = main(
@@ -140,6 +147,19 @@ def test_nikiforov_generator_budget(tmp_path, capsys):
     )
     assert code == 5
     assert capsys.readouterr().err == "error: family has 420 edges, over the budget of 10\n"
+
+
+def test_nikiforov_negative_budget_is_a_bad_parameter(tmp_path, capsys):
+    # refused before anything is counted or written; a zero budget is a real one
+    out = tmp_path / "x.hg"
+    argv = ["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(out)]
+    assert main([*argv, "--budget", "-5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0, got -5\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--budget", "0"]) == 5
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -168,6 +188,16 @@ def test_gen_cycle(tmp_path):
 
 def test_gen_size_error(tmp_path):
     assert main(["gen", "cycle", "2", "-o", str(tmp_path / "x.hg")]) == 4
+    assert main(["gen", "complete", "1", "-o", str(tmp_path / "x.hg")]) == 4
+    assert main(["gen", "single_edge", "1", "-o", str(tmp_path / "x.hg")]) == 4
+
+
+def test_gen_into_a_directory_is_a_file_error(tmp_path, capsys):
+    # exit 2 covers a file that cannot be written, as one stderr line
+    assert main(["gen", "cycle", "4", "-o", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_gen_over_the_edge_budget_writes_nothing(tmp_path, capsys):
@@ -210,6 +240,11 @@ def test_rho_at_high_uniformity_fails_at_once_on_one_line(tmp_path):
     assert result.stderr.splitlines() == [
         "error: bracket [nan, nan] is not finite at iteration 1: x^399 leaves the float range"
     ]
+
+
+def test_rho_rejects_zero_iterations(c4_file, capsys):
+    assert main(["rho", c4_file, "--max-iter", "0"]) == 4
+    assert capsys.readouterr().err == "error: max_iterations must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -397,6 +432,18 @@ def test_power_rejects_a_vertex_in_no_edge(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: power requires every vertex to lie in an edge\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.hg"]
+
+
+def test_power_self_check_failure_exits_7_and_writes_nothing(
+    c4_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("hypersym.power.verify_coloring", lambda *args: False)
+    out = tmp_path / "x.hg"
+    assert main(["power", c4_file, "--s", "2", "-o", str(out)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: blow-up lost its order-s witness\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.hg"]
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,13 @@ from hypersym import (
     is_connected,
     nikiforov,
     nikiforov_coloring,
-    nikiforov_edge_count,
     path,
     single_edge,
     stock,
     verify_coloring,
 )
+
+from helpers import nikiforov_edge_count
 
 
 def classify(edge, params):
@@ -61,6 +62,8 @@ def test_parameter_validation():
         NikiforovParams(1, 6, 6, 3)
     with pytest.raises(ParameterError):
         NikiforovParams(1, 5, 6, 4)
+    with pytest.raises(ParameterError, match=r"^\|B\| must be >= 6, got 5$"):
+        NikiforovParams(1, 6, 5, 4)
     with pytest.raises(ParameterError):
         NikiforovParams(0, 6, 6, 4)
 
@@ -68,6 +71,10 @@ def test_parameter_validation():
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         nikiforov(NikiforovParams(1, 6, 6, 4), budget=419)
+    with pytest.raises(BudgetExceededError):
+        nikiforov(NikiforovParams(1, 6, 6, 4), budget=0)
+    with pytest.raises(ParameterError, match=r"^budget must be >= 0, got -5$"):
+        nikiforov(NikiforovParams(1, 6, 6, 4), budget=-5)
     # about 5,960 digits: refused from a capped count, never the exact one
     with pytest.raises(BudgetExceededError, match="more than"):
         nikiforov(NikiforovParams(2000, 12000, 12000, 8000))

@@ -63,6 +63,14 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(FileFormatError) as info:
         parse_hypergraph("uniform 2\nvertices 3\n1 4\n")
     assert info.value.line == 3
+    with pytest.raises(FileFormatError) as info:
+        parse_hypergraph("uniform x\n")
+    assert info.value.line == 1
+    assert str(info.value) == "line 1: uniform value 'x' is not an integer"
+    with pytest.raises(FileFormatError) as info:
+        parse_hypergraph("uniform 2\n")
+    assert info.value.line == 1
+    assert str(info.value) == "line 1: missing 'vertices <n>' line"
     with pytest.raises(FileFormatError):
         parse_hypergraph("")
 
@@ -93,6 +101,10 @@ def test_coloring_errors():
     with pytest.raises(FileFormatError) as info:
         parse_coloring("modulus 4\n1\nx\n")
     assert info.value.line == 3
+    with pytest.raises(FileFormatError) as info:
+        parse_coloring("modulus 1\n0\n")
+    assert info.value.line == 1
+    assert str(info.value) == "line 1: modulus must be >= 2, got 1"
 
 
 def test_layout_format_lists_blocks():

@@ -10,6 +10,7 @@ from hypersym import (
     ModVector,
     ModulusMismatchError,
     NikiforovParams,
+    ParameterError,
     build_hypergraph,
     divisors,
     generalized_power,
@@ -54,6 +55,10 @@ def test_mismatch_errors():
         solve_linear_mod(a, ModVector(5, [1]))
     with pytest.raises(DimensionMismatchError):
         solve_linear_mod(a, ModVector(4, [1, 2]))
+    with pytest.raises(ParameterError):
+        ModMatrix(1, [[1]])
+    with pytest.raises(ParameterError):
+        ModMatrix(2, [])
 
 
 def test_solve_single_entry():

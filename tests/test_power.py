@@ -10,23 +10,23 @@ from hypersym import (
     BudgetExceededError,
     Coloring,
     DisconnectedError,
+    InternalConsistencyError,
     NikiforovParams,
     ParameterError,
-    blowup_symmetry_coloring,
     build_hypergraph,
     conjecture_check,
     cycle,
     cyclic_index,
     generalized_power,
     is_connected,
-    lift_single_member,
     nikiforov,
-    nikiforov_edge_count,
     power_cyclic_index_shortcut,
     verify_coloring,
 )
 from helpers import (
     lift_block_constant,
+    lift_single_member,
+    nikiforov_edge_count,
     per_divisor_report,
     random_connected_hypergraph,
 )
@@ -110,6 +110,15 @@ def test_power_entry_budget_refuses_before_building():
     assert entries == 15_471_456 <= hypersym.power.ENTRY_BUDGET
 
 
+def test_blowup_self_check_raises_when_its_witness_fails(monkeypatch):
+    # every pure blow-up is checked against its order-s witness
+    monkeypatch.setattr(hypersym.power, "verify_coloring", lambda *args: False)
+    with pytest.raises(
+        InternalConsistencyError, match=r"^blow-up lost its order-s witness$"
+    ):
+        generalized_power(cycle(4), 4, 2)
+
+
 def test_shortcut():
     assert power_cyclic_index_shortcut(cycle(3), 5, 2) == 5
     assert power_cyclic_index_shortcut(cycle(3), 4, 2) is None
@@ -148,7 +157,8 @@ def test_single_member_lift_gives_order_s():
         base = random_connected_hypergraph(rng, rng.choice([2, 3]), n_max=6)
         s = rng.choice([2, 3, 4])
         power, layout = generalized_power(base, s * base.uniformity, s)
-        phi = blowup_symmetry_coloring(layout)
+        ones = Coloring(layout.uniformity, [1] * base.vertex_count)
+        phi = lift_single_member(layout, ones)
         assert verify_coloring(power, phi, s)
 
 

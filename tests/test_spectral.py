@@ -17,7 +17,6 @@ from hypersym import (
     cyclic_index,
     divisors,
     generalized_power,
-    lift_single_member,
     nikiforov,
     nikiforov_coloring,
     path,
@@ -32,6 +31,7 @@ from helpers import (
     apply_adjacency,
     apply_adjacency_loop,
     contract_loop,
+    lift_single_member,
     random_connected_hypergraph,
     random_hypergraph,
     similarity_deviation_loop,
