@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InternalConsistencyError, ParameterError
 from .hypergraph import Hypergraph, build_hypergraph
+from .modular import _Checked
 from .symmetry import Coloring
 
 DEFAULT_EDGE_BUDGET = 10**6
@@ -19,7 +20,7 @@ class _NikiforovFields(NamedTuple):
     size_c: int
 
 
-class NikiforovParams(_NikiforovFields):
+class NikiforovParams(_Checked, _NikiforovFields):
     """Sizes of the three vertex classes A, B, C for blow-up parameter k.
 
     Class sizes must admit the four edge families: |A| >= 6k, |B| >= 6k,
@@ -39,23 +40,21 @@ class NikiforovParams(_NikiforovFields):
             raise ParameterError(f"|C| must be >= {4 * k}, got {size_c}")
         return super().__new__(cls, k, size_a, size_b, size_c)
 
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`, whose default skips `__new__`
-        return cls(*iterable)
-
     @property
     def vertex_count(self) -> int:
         return self.size_a + self.size_b + self.size_c
 
 
+# Edge classes (left, right, i, j): the 4k-sets meeting class `left` in i*k
+# vertices and class `right` in j*k; A, B, C are 0, 1, 2, as in `params[1:]`.
+_EDGE_CLASSES = ((0, 2, 2, 2), (1, 2, 2, 2), (0, 1, 1, 3), (0, 1, 3, 1))
+
+
 def _edge_count(params: NikiforovParams, cap: int) -> int:
-    k, a, b, c = params.k, params.size_a, params.size_b, params.size_c
-    return (
-        _binomial_up_to(a, 2 * k, cap) * _binomial_up_to(c, 2 * k, cap)
-        + _binomial_up_to(b, 2 * k, cap) * _binomial_up_to(c, 2 * k, cap)
-        + _binomial_up_to(a, k, cap) * _binomial_up_to(b, 3 * k, cap)
-        + _binomial_up_to(a, 3 * k, cap) * _binomial_up_to(b, k, cap)
+    k, sizes = params.k, params[1:]
+    return sum(
+        _binomial_up_to(sizes[left], i * k, cap) * _binomial_up_to(sizes[right], j * k, cap)
+        for left, right, i, j in _EDGE_CLASSES
     )
 
 
@@ -92,20 +91,16 @@ def nikiforov(
             f"family has {count} edges, over the budget of {budget}"
         )
     k = params.k
-    a_set = range(1, params.size_a + 1)
-    b_set = range(params.size_a + 1, params.size_a + params.size_b + 1)
-    c_set = range(params.size_a + params.size_b + 1, params.vertex_count + 1)
-    edges = []
-    for left, right, i, j in (
-        (a_set, c_set, 2 * k, 2 * k),
-        (b_set, c_set, 2 * k, 2 * k),
-        (a_set, b_set, k, 3 * k),
-        (a_set, b_set, 3 * k, k),
-    ):
-        for picked_left in combinations(left, i):
-            for picked_right in combinations(right, j):
-                edges.append(picked_left + picked_right)
-    graph = build_hypergraph(4 * k, params.vertex_count, edges)
+    ends = list(accumulate(params[1:], initial=0))
+    classes = [range(lo + 1, hi + 1) for lo, hi in zip(ends, ends[1:])]
+    # A < B < C, so each edge is increasing, and the classes are disjoint
+    edges = [
+        picked_left + picked_right
+        for left, right, i, j in _EDGE_CLASSES
+        for picked_left in combinations(classes[left], i * k)
+        for picked_right in combinations(classes[right], j * k)
+    ]
+    graph = Hypergraph(4 * k, params.vertex_count, tuple(sorted(edges)))
     if graph.edge_count != expected:
         raise InternalConsistencyError(
             f"family has {graph.edge_count} edges, formula gives {expected}"

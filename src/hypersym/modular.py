@@ -7,10 +7,9 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress
 from math import gcd
-from operator import itemgetter, mul, or_
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -21,12 +20,23 @@ from .errors import (
 )
 
 
+class _Checked:
+    """First base of a record whose `__new__` checks its fields: `_replace`
+    builds through `_make`, whose NamedTuple default skips `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _ModMatrixFields(NamedTuple):
     modulus: int
     entries: tuple[tuple[int, ...], ...]
 
 
-class ModMatrix(_ModMatrixFields):
+class ModMatrix(_Checked, _ModMatrixFields):
     """Dense matrix with entries reduced into [0, modulus)."""
 
     __slots__ = ()
@@ -42,11 +52,6 @@ class ModMatrix(_ModMatrixFields):
             raise DimensionMismatchError("rows have unequal lengths")
         return super().__new__(cls, modulus, reduced)
 
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`, whose default skips `__new__`
-        return cls(*iterable)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -61,7 +66,7 @@ class _ModVectorFields(NamedTuple):
     entries: tuple[int, ...]
 
 
-class ModVector(_ModVectorFields):
+class ModVector(_Checked, _ModVectorFields):
     """Vector with entries reduced into [0, modulus); its length is the
     number of entries, not of fields."""
 
@@ -71,11 +76,6 @@ class ModVector(_ModVectorFields):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
         return super().__new__(cls, modulus, tuple(int(e) % modulus for e in entries))
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`, whose default skips `__new__`
-        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -149,11 +149,10 @@ class _SparseRows:
     a weighted row multiplies each coefficient by its weight, so an entry
     a costs one product, not a copies of a column. A column's mask is a
     k-bit integer whose binary digit `pos` of `format(mask, f"0{k}b")` is
-    1 exactly when row `pos` lists the column. Equal 0/1 columns, those
-    with the same mask, form one class: `twins` holds (mask, column
-    indices) for each class of two or more, and `single_masks[i]` is the
-    mask of column `single_columns[i]`, which has no equal. With `weights`
-    every column is its own class. Callers pass program-built data;
+    1 exactly when row `pos` lists the column. `classes[j]` is the class
+    of column j, (mask, column indices): equal 0/1 columns, those with the
+    same mask, share one class, and with `weights` every column is its
+    own class. Slot 0 has none. Callers pass program-built data;
     `ModMatrix` is the checked entry point for anything else.
     """
 
@@ -180,10 +179,8 @@ class _SparseRows:
             keys = range(width + 1)
         classes: dict = {}
         for j in range(1, width + 1):
-            classes.setdefault(keys[j], []).append(j)
-        self.twins = [(masks[js[0]], js) for js in classes.values() if len(js) > 1]
-        self.single_columns = [js[0] for js in classes.values() if len(js) == 1]
-        self.single_masks = [masks[j] for j in self.single_columns]
+            classes.setdefault(keys[j], (masks[j], []))[1].append(j)
+        self.classes = [None, *(classes[keys[j]] for j in range(1, width + 1))]
 
 
 class _SpanBasis:
@@ -280,11 +277,12 @@ class _SpanBasis:
         matrix = self._matrix
         terms = matrix.terms
         k = len(terms)
-        # coefficients are kept in [0, m), so a nonzero one is nonzero mod m
-        picked = map(coef.__getitem__, matrix.single_columns)
-        met = reduce(or_, compress(matrix.single_masks, picked), 0)
-        for mask, js in matrix.twins:
-            if sum(map(coef.__getitem__, js)) % m:
+        get = coef.__getitem__
+        met = 0
+        # `compress` yields the class of each column with a nonzero
+        # coefficient, so every class with a nonzero sum; a repeat ORs again
+        for mask, js in compress(matrix.classes, coef):
+            if sum(map(get, js)) % m:
                 met |= mask
         if not met:
             return k, 0

@@ -195,37 +195,23 @@ def verify_similarity(
     step = 1.0 / m
     table = [_unit(2 * pi * v * step) for v in range(m)]
     rotation = _unit(2 * pi / symmetry_order)
-    re = [d.real for d in table]
-    im = [d.imag for d in table]
     # per color: the constants for dividing by d, then d^-(m-1)
-    slots = []
-    for d in table:
-        own = _inverse_power(d, m - 1)
-        slots.append((*_division(d), own.real, own.imag))
-    rot_wide, rot_rat, rot_scl = _division(rotation)
+    slots = [(_division(d), _inverse_power(d, m - 1)) for d in table]
+    by_rotation = _division(rotation)
     get = (0, *coloring.values).__getitem__
     # colors met with each product; a product that is 0.0 in one tuple and
     # -0.0 in another shares a key, which is harmless: the steps below only
     # multiply and add, so the sign of a zero never reaches the modulus
-    present: dict[tuple[float, float], set[int]] = {}
+    present: dict[complex, set[int]] = {}
     for colors in {tuple(map(get, edge)) for edge in graph.edges}:
-        fr, fi = re[colors[0]], im[colors[0]]
+        product = table[colors[0]]
         for c in colors[1:]:
-            fr, fi = fr * re[c] - fi * im[c], fr * im[c] + fi * re[c]
-        present.setdefault((fr, fi), set()).update(colors)
+            product *= table[c]
+        present.setdefault(product, set()).update(colors)
     worst = 0.0
-    for (fr, fi), leads in present.items():
-        for wide, rat, scl, wr, wi in map(slots.__getitem__, leads):
-            if wide:
-                ar, ai = (fr + fi * rat) * scl, (fi - fr * rat) * scl
-            else:
-                ar, ai = (fr * rat + fi) * scl, (fi * rat - fr) * scl
-            vr, vi = ar * wr - ai * wi, ar * wi + ai * wr
-            if rot_wide:
-                gr, gi = (vr + vi * rot_rat) * rot_scl, (vi - vr * rot_rat) * rot_scl
-            else:
-                gr, gi = (vr * rot_rat + vi) * rot_scl, (vi * rot_rat - vr) * rot_scl
-            gap = abs(complex(gr - 1.0, gi))
+    for product, leads in present.items():
+        for by_lead, own in map(slots.__getitem__, leads):
+            gap = abs(_divide(_divide(product, by_lead) * own, by_rotation) - 1.0)
             if gap > worst:
                 worst = gap
     return SimilarityCertificate(
@@ -242,9 +228,7 @@ def _unit(theta: float) -> complex:
 
 
 def _division(d: complex) -> tuple[bool, float, float]:
-    """Smith's constants for dividing by d, as numpy divides: x / d is
-    ((xr + xi*rat)*scl, (xi - xr*rat)*scl) when `wide` (|Re d| >= |Im d|)
-    and ((xr*rat + xi)*scl, (xi*rat - xr)*scl) otherwise."""
+    """Smith's constants for dividing by d as numpy does; `_divide` applies them."""
     if abs(d.real) >= abs(d.imag):
         rat = d.imag / d.real
         return True, rat, 1.0 / (d.real + d.imag * rat)
@@ -252,16 +236,24 @@ def _division(d: complex) -> tuple[bool, float, float]:
     return False, rat, 1.0 / (d.imag + d.real * rat)
 
 
+def _divide(x: complex, by: tuple[bool, float, float]) -> complex:
+    """x / d, from the constants `_division(d)`."""
+    wide, rat, scl = by
+    xr, xi = x.real, x.imag
+    if wide:
+        return complex((xr + xi * rat) * scl, (xi - xr * rat) * scl)
+    return complex((xr * rat + xi) * scl, (xi * rat - xr) * scl)
+
+
 def _inverse_power(d: complex, n: int) -> complex:
     """d^-n for 0 < n < 100 as numpy computes it: binary powering from 1,
-    then 1 / r by Smith's rule."""
-    ar, ai, pr, pi_ = 1.0, 0.0, d.real, d.imag
+    then 1 / r by Smith's rule, with CPython's complex product (numpy's). A
+    zero of 1 / r may differ in sign (at rat = 0); no modulus sees it."""
+    r = 1 + 0j
     while True:
         if n & 1:
-            ar, ai = ar * pr - ai * pi_, ar * pi_ + ai * pr
+            r *= d
         n >>= 1
         if not n:
-            break
-        pr, pi_ = pr * pr - pi_ * pi_, pr * pi_ + pi_ * pr
-    wide, rat, scl = _division(complex(ar, ai))
-    return complex(scl, -rat * scl) if wide else complex(rat * scl, -scl)
+            return _divide(1.0, _division(r))
+        d *= d

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .modular import _SpanBasis, _SparseRows
+from .modular import _Checked, _SpanBasis, _SparseRows
 
 
 class _ColoringFields(NamedTuple):
@@ -28,7 +28,7 @@ class _ColoringFields(NamedTuple):
     values: tuple[int, ...]
 
 
-class Coloring(_ColoringFields):
+class Coloring(_Checked, _ColoringFields):
     """A vertex map into Z_m, one value per vertex in index order."""
 
     __slots__ = ()
@@ -37,11 +37,6 @@ class Coloring(_ColoringFields):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
         return super().__new__(cls, modulus, tuple(int(v) % modulus for v in values))
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`, whose default skips `__new__`
-        return cls(*iterable)
 
 
 class SymmetryReport(NamedTuple):

@@ -446,6 +446,21 @@ def test_power_self_check_failure_exits_7_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.hg"]
 
 
+def test_nikiforov_self_check_failure_exits_7_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    count = hypersym.families._edge_count
+    monkeypatch.setattr(
+        hypersym.families, "_edge_count", lambda params, cap: count(params, cap) + 1
+    )
+    out = tmp_path / "nik.hg"
+    assert main(["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(out)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family has 420 edges, formula gives 421\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "options", [["--s", "99999999999"], ["--s", "2", "--m", "99999999999"]], ids=["s", "m"]
 )

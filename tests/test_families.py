@@ -2,9 +2,11 @@ from math import comb
 
 import pytest
 
+import hypersym.families
 from hypersym import (
     DEFAULT_EDGE_BUDGET,
     BudgetExceededError,
+    InternalConsistencyError,
     NikiforovParams,
     ParameterError,
     complete,
@@ -155,3 +157,15 @@ def test_stock_over_the_edge_budget_builds_nothing(monkeypatch):
         assert stock(kind, size).vertex_count == size
         with pytest.raises(BudgetExceededError):
             stock(kind, size + 1)
+
+
+def test_family_count_self_check_raises(monkeypatch):
+    # the edges are built without validation: the count check is their guard
+    count = hypersym.families._edge_count
+    monkeypatch.setattr(
+        hypersym.families, "_edge_count", lambda params, cap: count(params, cap) + 1
+    )
+    with pytest.raises(
+        InternalConsistencyError, match=r"^family has 420 edges, formula gives 421$"
+    ):
+        nikiforov(NikiforovParams(1, 6, 6, 4))

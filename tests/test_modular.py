@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+import hypersym.modular
 from hypersym import (
     DimensionMismatchError,
+    InternalConsistencyError,
     ModMatrix,
     ModVector,
     ModulusMismatchError,
@@ -66,6 +68,13 @@ def test_solve_single_entry():
     x = solve_linear_mod(a, ModVector(4, [2]))
     assert x is not None and (2 * x.entries[0]) % 4 == 2
     assert solve_linear_mod(a, ModVector(4, [1])) is None
+
+
+def test_solver_self_check_raises_on_a_non_solution(monkeypatch):
+    a = ModMatrix(2, [[1, 1], [0, 1]])
+    monkeypatch.setattr(hypersym.modular, "mat_vec_mod", lambda *args: ModVector(2, [0, 0]))
+    with pytest.raises(InternalConsistencyError, match=r"^solver produced a non-solution$"):
+        solve_linear_mod(a, ModVector(2, [1, 1]))
 
 
 def test_triangle_mod2_unsolvable():
@@ -219,3 +228,33 @@ def test_span_basis_matches_dense_oracle_on_random_matrices():
         cols = [[j for j, a in enumerate(row, 1) if a] for row in dense]
         weights = [[row[j - 1] for j in c] for row, c in zip(dense, cols)]
         _assert_same_basis(rng, m, n, cols, weights, dense)
+
+
+@pytest.mark.parametrize("modulus", [8, 16])
+def test_twin_kernel_rows_cost_no_evaluation(modulus):
+    # the two members of a vertex block of the s=2 power lie in the same
+    # edges: their difference is a kernel row, which `_scan` finds zero from
+    # the class sums alone, without evaluating one row of the matrix
+    power, layout = generalized_power(nikiforov(NikiforovParams(1, 6, 6, 4)), 8, 2)
+    sparse = _SparseRows(power.vertex_count, power.edges)
+    basis = _SpanBasis(modulus, sparse)
+    calls = []
+
+    def counted(terms):
+        def call(coef):
+            calls.append(1)
+            return terms(coef)
+        return call
+
+    sparse.terms = [counted(terms) for terms in sparse.terms]
+    k = power.edge_count
+    for a, b in layout.vertex_blocks:
+        coef = [0] * (power.vertex_count + 1)
+        coef[a], coef[b] = 1, modulus - 1
+        assert basis._scan(coef, 0) == (k, 0)
+    assert not calls
+    # a row with a nonzero class sum is still evaluated, up to its first hit
+    coef[b] = 0
+    first = next(pos for pos, edge in enumerate(power.edges) if a in edge)
+    assert basis._scan(coef, 0) == (first, 1)
+    assert len(calls) == 1

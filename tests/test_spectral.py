@@ -9,6 +9,7 @@ from hypersym import (
     Coloring,
     ConvergenceError,
     DisconnectedError,
+    InternalConsistencyError,
     NikiforovParams,
     ParameterError,
     build_hypergraph,
@@ -200,6 +201,20 @@ def test_rho_matches_per_edge_kernel(monkeypatch):
     want = [_rho_outcome(g) for g in graphs]
     monkeypatch.setattr(hypersym.spectral, "_contract", contract_loop)
     assert [_rho_outcome(g) for g in graphs] == want
+
+
+def test_rho_raises_on_a_widened_bracket(monkeypatch):
+    # a kernel whose result doubles on each call lifts the bracket's upper end
+    contract = hypersym.spectral._contract
+    calls = []
+
+    def doubling(edges, x, n):
+        calls.append(1)
+        return contract(edges, x, n) * 2.0 ** len(calls)
+
+    monkeypatch.setattr(hypersym.spectral, "_contract", doubling)
+    with pytest.raises(InternalConsistencyError, match=r"^bracket widened: "):
+        power_iteration_rho(nikiforov(NikiforovParams(1, 6, 6, 4)))
 
 
 def test_rho_reports_a_non_finite_bracket_at_once():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersym.symmetry
 from hypersym import (
     Coloring,
     DimensionMismatchError,
     DisconnectedError,
+    InternalConsistencyError,
     ModulusMismatchError,
     NikiforovParams,
     ParameterError,
@@ -22,6 +24,7 @@ from hypersym import (
     verify_coloring,
 )
 from hypersym.modular import _SpanBasis, _SparseRows
+from hypersym.symmetry import _index_generators, _witness
 
 from helpers import (
     enumeration_symmetric,
@@ -173,3 +176,33 @@ def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
         assert cyclic_index(graph) == oracle
         for ell, witness in oracle.divisor_evidence.items():
             assert is_l_symmetric(graph, ell) == witness
+
+
+def test_all_ones_walk_self_check_raises(monkeypatch):
+    monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
+    with pytest.raises(
+        InternalConsistencyError, match=r"^all-ones walk over Z_2 fails edge-sum verification$"
+    ):
+        cyclic_index(cycle(4))
+
+
+def test_witness_refuses_an_order_outside_the_generators_ideal():
+    # B x = 1 has no solution over Z_2 on an odd cycle
+    c3 = cycle(3)
+    [(g, basis)] = _index_generators(c3, (2,))
+    assert g == 2
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^order 2 over Z_2 is in the generator's ideal but has no solution$",
+    ):
+        _witness(c3.edges, basis, 2)
+
+
+def test_witness_self_check_raises(monkeypatch):
+    c4 = cycle(4)
+    [(_, basis)] = _index_generators(c4, (2,))
+    monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
+    with pytest.raises(
+        InternalConsistencyError, match=r"^order 2 witness over Z_2 fails edge-sum verification$"
+    ):
+        _witness(c4.edges, basis, 2)
