@@ -3,8 +3,9 @@
 Exit codes are a stable contract: 0 success (or equality holding),
 10 conjecture violated on this instance (a finding, not an error),
 2 a file could not be read, parsed or written, 3 disconnected input,
-4 bad parameter, 5 enumeration budget exceeded, 6 power iteration did
-not converge, 7 internal consistency check failed (a bug, not bad input).
+4 bad parameter, 5 enumeration budget exceeded or memory exhausted,
+6 power iteration did not converge, 7 internal consistency check failed
+(a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_CONJECTURE_FAILS = 10
 _EXIT_CODES = (
     ((FileFormatError, OSError), EXIT_PARSE),
     ((DisconnectedError,), EXIT_DISCONNECTED),
-    ((BudgetExceededError,), EXIT_BUDGET),
+    ((BudgetExceededError, MemoryError), EXIT_BUDGET),
     ((ConvergenceError,), EXIT_NO_CONVERGENCE),
     (
         (ParameterError, HypergraphError, ModulusMismatchError, DimensionMismatchError),
@@ -210,8 +211,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HypersymError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (HypersymError, OSError, MemoryError) as err:
+        # a MemoryError usually carries no message
+        message = "out of memory" if isinstance(err, MemoryError) else err
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(err, kinds))
 
 

@@ -10,16 +10,23 @@ writing it back reproduces it byte for byte.
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Iterator
 
-from .errors import FileFormatError, HypergraphError, ParameterError
-from .hypergraph import Hypergraph, build_hypergraph
+from .errors import (
+    FileFormatError,
+    HypergraphError,
+    InternalConsistencyError,
+    ParameterError,
+)
+from .hypergraph import Hypergraph, _build_in_passes, _build_per_edge
 from .power import PowerLayout
 from .symmetry import Coloring
 
 
-def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _significant_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield number, line
@@ -39,35 +46,57 @@ def _header_value(line: str, number: int, keyword: str) -> int:
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse hypergraph text; all failures carry a 1-based line number.
 
-    Structure is checked by `build_hypergraph` alone, one edge at a time
-    as the generator below yields them, so an error it raises is about
-    the edge on the line yielded last, or about the headers when no edge
-    has been yielded yet.
+    The text is split into lines once and the two headers are read.
+    The edge lines, without blank and comment lines, are converted to
+    integer tuples in C-level passes and checked as one list by the
+    whole-list passes of `build_hypergraph`. When a token is not an
+    integer or a pass rejects the list, the edge lines are replayed one
+    at a time through the builder's per-edge rules, which raise the
+    error of the first faulty line, or of the headers.
     """
-    lines = _significant_lines(text)
+    lines = text.splitlines()
+    significant = _significant_lines(lines)
     try:
-        number, line = next(lines)
+        number, line = next(significant)
     except StopIteration:
         raise FileFormatError("empty file, expected 'uniform <m>' header", 1)
     uniformity = _header_value(line, number, "uniform")
     try:
-        number, line = next(lines)
+        number, line = next(significant)
     except StopIteration:
         raise FileFormatError("missing 'vertices <n>' line", number)
     vertex_count = _header_value(line, number, "vertices")
+    body = lines[number:]
+    # the first characters of the stripped lines, "" for a blank line,
+    # show whether any line is blank or a comment
+    if {"", "#"} & set(map(itemgetter(slice(1)), map(str.lstrip, body))):
+        body = [line for _, line in _significant_lines(body)]
+    try:
+        graph = _build_in_passes(
+            uniformity,
+            vertex_count,
+            list(map(tuple, map(map, repeat(int), map(str.split, body)))),
+        )
+    except ValueError:
+        graph = None  # a token is not an integer
+    if graph is not None:
+        return graph
 
     def edges() -> Iterator[tuple[int, ...]]:
         nonlocal number
-        for number, line in lines:
+        for number, line in significant:
             try:
                 yield tuple(map(int, line.split()))
             except ValueError:
                 raise FileFormatError(f"edge line is not all integers: {line!r}", number)
 
     try:
-        return build_hypergraph(uniformity, vertex_count, edges())
+        _build_per_edge(uniformity, vertex_count, edges())
     except (HypergraphError, ParameterError) as err:
         raise FileFormatError(str(err), number) from err
+    raise InternalConsistencyError(
+        "whole-list edge checks rejected lines the per-edge rules accept"
+    )
 
 
 def format_hypergraph(graph: Hypergraph) -> str:
@@ -78,11 +107,12 @@ def format_hypergraph(graph: Hypergraph) -> str:
 
 
 def _read_text(path: str | os.PathLike) -> str:
-    """The file decoded as UTF-8; a bad byte is a format error at its line."""
+    """The file decoded as UTF-8, without a leading byte-order mark; a bad
+    byte is a format error at its line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         # counted as `_significant_lines` counts: the line the byte starts
         before = data[: err.start].decode("utf-8")
@@ -101,7 +131,7 @@ def write_hypergraph(graph: Hypergraph, path: str | os.PathLike) -> None:
 
 
 def parse_coloring(text: str) -> Coloring:
-    lines = _significant_lines(text)
+    lines = _significant_lines(text.splitlines())
     try:
         number, line = next(lines)
     except StopIteration:

@@ -7,11 +7,14 @@ hypergraphs have equal representations.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateEdgeError,
     EdgeSizeError,
+    InternalConsistencyError,
     ParameterError,
     RepeatedVertexError,
     VertexRangeError,
@@ -42,10 +45,72 @@ def build_hypergraph(
 
     Each edge must contain exactly `uniformity` distinct vertices in
     [1, vertex_count], and no vertex set may appear twice. Edges are
-    sorted internally and the edge list sorted lexicographically. Each
-    edge is checked as it is drawn from `edges`, so a caller streaming
-    them knows which edge an error is about.
+    sorted internally and the edge list sorted lexicographically. The
+    edges are checked in whole-list passes (`_build_in_passes`); a list
+    they reject is replayed in the given order through `_build_per_edge`,
+    which raises the error of the first faulty edge.
     """
+    given = list(map(tuple, edges))
+    graph = _build_in_passes(uniformity, vertex_count, given.copy())
+    if graph is None:
+        _build_per_edge(uniformity, vertex_count, given)
+        raise InternalConsistencyError(
+            "whole-list edge checks rejected edges the per-edge rules accept"
+        )
+    return graph
+
+
+def _build_in_passes(
+    uniformity: int, vertex_count: int, rows: list[tuple[int, ...]]
+) -> Hypergraph | None:
+    """The hypergraph of `rows`, or None when a whole-list pass rejects them.
+
+    The passes check the edge sizes, then each pair of neighbouring
+    slots, which must increase strictly, so no vertex repeats (edges are
+    sorted first if some edge is not increasing), then the least first
+    and the greatest last vertex, then strict increase of the edge list,
+    so no edge repeats (it is sorted first if it is not increasing).
+    `rows` is sorted in place, and nothing loops over a header value.
+    """
+    if not 2 <= uniformity <= vertex_count:
+        return None
+    if rows:
+        if set(map(len, rows)) != {uniformity}:
+            return None
+        if not _increasing_slots(rows, uniformity):
+            # a block at a time, so the unsorted edges are not all held twice
+            for i in range(0, len(rows), 1024):
+                rows[i : i + 1024] = map(tuple, map(sorted, rows[i : i + 1024]))
+            if not _increasing_slots(rows, uniformity):
+                return None
+        if min(map(itemgetter(0), rows)) < 1 or max(map(itemgetter(-1), rows)) > vertex_count:
+            return None
+        if not _increasing(rows):
+            rows.sort()
+            if not _increasing(rows):
+                return None
+    return Hypergraph(uniformity, vertex_count, tuple(rows))
+
+
+def _increasing(items: list) -> bool:
+    """True iff every item is below the next."""
+    return all(map(lt, items, islice(items, 1, None)))
+
+
+def _increasing_slots(rows: list[tuple[int, ...]], width: int) -> bool:
+    """True iff slot j is below slot j + 1 in every row, for every j."""
+    return all(
+        all(map(lt, map(itemgetter(j), rows), map(itemgetter(j + 1), rows)))
+        for j in range(width - 1)
+    )
+
+
+def _build_per_edge(
+    uniformity: int, vertex_count: int, edges: Iterable[Sequence[int]]
+) -> Hypergraph:
+    """`build_hypergraph` one edge at a time; the only place its errors
+    are written. Each edge is checked as it is drawn from `edges`, so a
+    caller streaming them knows which edge an error is about."""
     if uniformity < 2:
         raise ParameterError(f"uniformity must be >= 2, got {uniformity}")
     if vertex_count < uniformity:

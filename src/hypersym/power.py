@@ -8,7 +8,7 @@ power equal s times the cyclic index of the base?
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -19,8 +19,8 @@ from .errors import (
     ParameterError,
 )
 from .families import DEFAULT_EDGE_BUDGET
-from .hypergraph import Hypergraph, is_connected
-from .symmetry import Coloring, _index_generators, verify_coloring
+from .hypergraph import Hypergraph, _increasing, is_connected
+from .symmetry import Coloring, _index_generator, verify_coloring
 
 # The most vertex entries (edges times uniformity) a power may list, and
 # the most vertices n*s + k*(m - s*t) it may have. With every base vertex
@@ -95,11 +95,10 @@ def generalized_power(
     )
     # Blocks grow with the base vertex and padding comes last, so each
     # power edge is increasing and the base edge order carries over.
-    edges = tuple(
-        tuple(chain.from_iterable(vertex_blocks[v - 1] for v in edge)) + edge_blocks[j]
-        for j, edge in enumerate(graph.edges)
-    )
-    if any(a >= b for a, b in zip(edges, edges[1:])):
+    block = ((), *vertex_blocks).__getitem__  # block(v) replaces base vertex v
+    spread = map(chain.from_iterable, map(map, repeat(block), graph.edges))
+    edges = tuple(map(tuple, map(chain, spread, edge_blocks)))
+    if not _increasing(edges):
         raise InternalConsistencyError("power edges left canonical order")
     power = Hypergraph(m, n * s + k * pad, edges)
     layout = PowerLayout(t, s, m, vertex_blocks, edge_blocks)
@@ -145,9 +144,11 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     B, once over Z_t and once over Z_m: the power's incidence is B with
     every column repeated s times, which spans the same submodule, so
     c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
-    Over each modulus q one walk for the all-ones target gives the g with
-    b * 1 in the span exactly for the multiples b of g, so the index is
-    q/g (`symmetry._index_generators`). The characterization system
+    Over each modulus q an all-ones walk on an edge sample, proved by one
+    edge-sum pass over every edge, gives the g with b * 1 in the span
+    exactly for the multiples b of g, so the index is q/g
+    (`symmetry._index_generator`); the span basis of the whole incidence
+    is never built. The characterization system
     B x = (t / c(base)) * 1 over Z_m has target g_t, so it is solvable
     exactly when g_m divides g_t, which is equivalent to equality.
     Theory-mandated divisibility relations are asserted before the
@@ -159,7 +160,8 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    (g_base, _), (g_power, _) = _index_generators(graph, (t, m))
+    g_base = _index_generator(graph, t)
+    g_power = _index_generator(graph, m)
     base_c = t // g_base
     power_c = m // g_power
     product = blowup * base_c

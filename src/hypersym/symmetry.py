@@ -8,9 +8,9 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -96,14 +96,19 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     """Witness coloring if the spectrum is rotation-symmetric of order l.
 
     Decides solvability of B x = (m/l) * 1 over Z_m exactly; returns None
-    only when no coloring exists.
+    only when no coloring exists. The full span basis is built only for
+    the witness of a solvable order l > 1.
     """
     m = _check_order(graph, symmetry_order)
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    [(g, basis)] = _index_generators(graph, (m,))
+    g = _index_generator(graph, m)
     if (m // symmetry_order) % g:
         return None
+    if symmetry_order == 1:
+        # the target is 0, whose witness is the zero coloring
+        return Coloring(m, [0] * graph.vertex_count)
+    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
     return _witness(graph.edges, basis, symmetry_order)
 
 
@@ -111,49 +116,59 @@ def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
     Every divisor l of m is decided and recorded: l is solvable exactly
-    when the g of `_index_generators` divides m/l, so divisor closure
-    holds by construction. A solvable order's witness is the `express`
-    solution on the same basis (for l = 1, the zero vector).
+    when the g of `_index_generator` divides m/l, so divisor closure
+    holds by construction. Order 1 is the zero coloring. The span basis
+    of the whole incidence is built only when some order l > 1 is
+    solvable, and a solvable order's witness is its `express` solution
+    on that basis.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
-    [(g, basis)] = _index_generators(graph, (m,))
-    evidence = {
-        ell: None if (m // ell) % g else _witness(graph.edges, basis, ell)
-        for ell in divisors(m)
-    }
+    g = _index_generator(graph, m)
+    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges)) if g < m else None
+    evidence = {1: Coloring(m, [0] * graph.vertex_count)}
+    for ell in divisors(m)[1:]:
+        evidence[ell] = None if (m // ell) % g else _witness(graph.edges, basis, ell)
     return SymmetryReport(m // g, evidence)
 
 
-def _index_generators(
-    graph: Hypergraph, moduli: Iterable[int]
-) -> list[tuple[int, _SpanBasis]]:
-    """(g, basis) per modulus q: the span basis of the incidence B over
-    Z_q, and the g with B x = b * 1 solvable exactly for the multiples b
-    of g, so the index is q/g. B is prepared once for all the moduli; on
-    each basis one all-ones `express` walk gives B x = a * 1 with
-    g = gcd(a, q), and x is checked by edge sums."""
-    incidence = _SparseRows(graph.vertex_count, graph.edges)
-    out = []
-    for q in moduli:
-        basis = _SpanBasis(q, incidence)
-        a, x = basis.express(repeat(1))
-        if not _edge_sums_hit(graph.edges, x, q, a):
+def _index_generator(graph: Hypergraph, modulus: int) -> int:
+    """The g with B x = b * 1 solvable over Z_q exactly for the multiples b
+    of g, for the incidence B of a connected graph; the index is q/g.
+
+    An all-ones `express` walk on the incidence of an edge sample S gives
+    B_S x = a * 1. When every edge of the graph sums to a under x, g is
+    gcd(a, q): the ideal of the graph lies in that of S, so g_S divides
+    g, and B x = a * 1 puts a in the graph's ideal, so g divides
+    gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
+    every edge when k < 4n. When the pass fails, the first violated edges
+    join S, at most |S| of them, and the walk runs again.
+    """
+    q = modulus
+    edges = graph.edges
+    n = graph.vertex_count
+    sample = list(edges[:: max(1, len(edges) // (2 * n))])
+    while True:
+        a, x = _SpanBasis(q, _SparseRows(n, sample)).express(repeat(1))
+        if _edge_sums_hit(edges, x, q, a):
+            return gcd(a, q)
+        size = len(sample)
+        if size < len(edges):
+            get = x.__getitem__
+            violated = (e for e in edges if sum(map(get, e)) % q != a)
+            sample.extend(islice(violated, size))
+        if len(sample) == size:
             raise InternalConsistencyError(
                 f"all-ones walk over Z_{q} fails edge-sum verification"
             )
-        out.append((gcd(a, q), basis))
-    return out
 
 
 def _witness(edges, basis: _SpanBasis, symmetry_order: int) -> Coloring:
     """The `express` solution of B x = (q/l) * 1 over Z_q, for an order
-    that `_index_generators` has marked solvable, checked by edge sums."""
+    l > 1 that `_index_generator` has marked solvable, checked by edge
+    sums."""
     q = basis.modulus
-    if symmetry_order == 1:
-        # the target is 0, for which `express` returns the zero vector
-        return Coloring(q, [0] * basis.width)
     a, x = basis.express(repeat(q // symmetry_order))
     if a != 1:
         raise InternalConsistencyError(

@@ -8,11 +8,12 @@ bit-exact oracles for those kernels, and so is the dense-vector span
 basis that the coefficient-only `_SpanBasis` replaced. Its `express`
 is the plain membership query, None off the span; `_SpanBasis.express`
 is the one walk that also scales. The per-divisor route, one query per
-divisor, is the oracle for the single all-ones walk that
-`symmetry._index_generators` runs per modulus. The block-constant and
-single-member lifts, the uncapped edge count of the three-class family
-and `apply_adjacency`, the contraction kernel on a graph, live here
-because only the tests use them.
+divisor, is the oracle for the sampled all-ones walk that
+`symmetry._index_generator` runs per modulus. The streaming reader that
+the whole-list passes replaced is the oracle for `parse_hypergraph`.
+The block-constant and single-member lifts, the uncapped edge count of
+the three-class family and `apply_adjacency`, the contraction kernel on
+a graph, live here because only the tests use them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from hypersym import (
     build_hypergraph,
     divisors,
 )
+from hypersym.errors import FileFormatError, HypergraphError, ParameterError
+from hypersym.fileio import _header_value, _significant_lines
+from hypersym.hypergraph import _build_per_edge
 from hypersym.modular import _SpanBasis, _SparseRows, _unit_for, _xgcd
 from hypersym.spectral import _contract, _edge_index
 
@@ -96,6 +100,37 @@ def adjacency_bruteforce(graph: Hypergraph, x) -> np.ndarray:
 def apply_adjacency(graph: Hypergraph, x) -> np.ndarray:
     """The library's contraction kernel on a graph and a float64 vector."""
     return _contract(_edge_index(graph), np.asarray(x, dtype=np.float64), graph.vertex_count)
+
+
+def parse_hypergraph_loop(text: str) -> Hypergraph:
+    """`fileio.parse_hypergraph` one edge line at a time: each line is
+    converted and handed to the builder's per-edge rules as it is read,
+    so an error is about the line read last, or about the headers when
+    no edge line has been read yet."""
+    lines = _significant_lines(text.splitlines())
+    try:
+        number, line = next(lines)
+    except StopIteration:
+        raise FileFormatError("empty file, expected 'uniform <m>' header", 1)
+    uniformity = _header_value(line, number, "uniform")
+    try:
+        number, line = next(lines)
+    except StopIteration:
+        raise FileFormatError("missing 'vertices <n>' line", number)
+    vertex_count = _header_value(line, number, "vertices")
+
+    def edges():
+        nonlocal number
+        for number, line in lines:
+            try:
+                yield tuple(map(int, line.split()))
+            except ValueError:
+                raise FileFormatError(f"edge line is not all integers: {line!r}", number)
+
+    try:
+        return _build_per_edge(uniformity, vertex_count, edges())
+    except (HypergraphError, ParameterError) as err:
+        raise FileFormatError(str(err), number) from err
 
 
 def contract_loop(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -342,9 +377,9 @@ def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
 
     One span basis of the incidence B over Z_q, one `express` call per
     divisor, each witness checked by edge sums and the report checked for
-    divisor closure; `cyclic_index`, which walks once for g and then only
-    for the solvable divisors, must give the same report when q is the
-    uniformity.
+    divisor closure; `cyclic_index`, which takes g from a sampled walk
+    and then walks only for the solvable divisors, must give the same
+    report when q is the uniformity.
     """
     q = modulus
     basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))

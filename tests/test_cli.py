@@ -562,3 +562,30 @@ def test_family_output_is_pinned(tmp_path, capsys, graph, command, code, stdout)
     assert main([command[0], str(target), *command[1:]]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (stdout, "")
+
+
+def test_memory_error_exits_5_on_one_line(c4_file, monkeypatch, capsys):
+    def exhausted(graph):
+        raise MemoryError
+
+    monkeypatch.setattr("hypersym.cli.cyclic_index", exhausted)
+    assert main(["analyze", c4_file]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
+def test_huge_headers_without_edges_are_disconnected(tmp_path, capsys):
+    target = tmp_path / "huge.hg"
+    target.write_text("uniform 1000000000\nvertices 1000000000\n")
+    assert main(["analyze", str(target)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_file_with_a_byte_order_mark_reads_as_without(nikiforov_file, tmp_path, capsys):
+    marked = tmp_path / "marked.hg"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(nikiforov_file).read_bytes())
+    assert main(["analyze", nikiforov_file]) == 0
+    plain = capsys.readouterr()
+    assert main(["analyze", str(marked)]) == 0
+    assert capsys.readouterr() == plain

@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersym.fileio
 from hypersym import (
+    Coloring,
     FileFormatError,
+    Hypergraph,
     HypergraphError,
+    InternalConsistencyError,
     ParameterError,
     build_hypergraph,
     cycle,
@@ -17,11 +21,13 @@ from hypersym.fileio import (
     format_layout,
     parse_coloring,
     parse_hypergraph,
+    read_coloring,
     read_hypergraph,
     write_hypergraph,
 )
+from hypersym.hypergraph import _build_per_edge
 
-from helpers import random_connected_hypergraph
+from helpers import parse_hypergraph_loop, random_connected_hypergraph
 import random
 
 
@@ -175,3 +181,83 @@ def test_parser_reports_the_builders_verdict_at_the_right_line(case, padding):
         with pytest.raises(FileFormatError) as info:
             parse_hypergraph(text)
         assert info.value.line == (edge_line[bad] if bad >= 0 else 3)
+
+
+def _outcome(parse, text):
+    """The graph a parser returns, or the class, text, line and cause of its error."""
+    try:
+        return parse(text)
+    except FileFormatError as err:
+        return type(err), str(err), err.line, type(err.__cause__)
+
+
+@st.composite
+def messy_hypergraph_texts(draw):
+    """`edge_lists_with_faults` written out of canonical form: edges and
+    their vertices shuffled, mixed separators, CRLF, trailing blanks,
+    blank and comment lines, and sometimes a line with a non-integer
+    token."""
+    m, n, edges = draw(edge_lists_with_faults())
+    edges = [draw(st.permutations(edge)) for edge in draw(st.permutations(edges))]
+    separators = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [
+        draw(separators).join(map(str, edge)) + draw(st.sampled_from(["", " ", "\t"]))
+        for edge in edges
+    ]
+    if draw(st.booleans()):
+        junk = draw(st.sampled_from(["x", "1.5", "0x3", "--1", "2#"]))
+        lines.insert(draw(st.integers(0, len(lines))), f"1 {junk}")
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "# note", "  # indented", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    head = ["# generated"] if draw(st.booleans()) else []
+    head += [f"uniform {m}", f"vertices {n}"]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(head + lines) + newline * draw(st.integers(0, 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(messy_hypergraph_texts())
+def test_parser_matches_the_streaming_reader(text):
+    assert _outcome(parse_hypergraph, text) == _outcome(parse_hypergraph_loop, text)
+
+
+def test_huge_headers_without_edges_parse_at_once():
+    # nothing loops or allocates in proportion to a header value
+    graph = parse_hypergraph("uniform 1000000000\nvertices 1000000000\n")
+    assert graph == Hypergraph(10**9, 10**9, ())
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path):
+    target = tmp_path / "c5.hg"
+    target.write_bytes(b"\xef\xbb\xbf" + format_hypergraph(cycle(5)).encode())
+    assert read_hypergraph(target) == cycle(5)
+    target = tmp_path / "c5.col"
+    target.write_bytes(b"\xef\xbb\xbfmodulus 2\r\n1\r\n0\r\n")
+    assert read_coloring(target) == Coloring(2, (1, 0))
+
+
+def _build_outcome(build, m, n, edges):
+    try:
+        return build(m, n, edges)
+    except (HypergraphError, ParameterError) as err:
+        return type(err), str(err)
+
+
+@settings(deadline=None)
+@given(edge_lists_with_faults(), st.randoms(use_true_random=False))
+def test_builder_matches_its_per_edge_rules(case, rng):
+    m, n, edges = case
+    rng.shuffle(edges)
+    assert _build_outcome(build_hypergraph, m, n, edges) == _build_outcome(
+        _build_per_edge, m, n, edges
+    )
+
+
+def test_an_edge_list_rejection_the_per_edge_rules_accept_raises(monkeypatch):
+    monkeypatch.setattr(hypersym.fileio, "_build_in_passes", lambda *args: None)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^whole-list edge checks rejected lines the per-edge rules accept$",
+    ):
+        parse_hypergraph("uniform 2\nvertices 3\n1 2\n2 3\n")

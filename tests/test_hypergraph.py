@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import hypersym.hypergraph
 from hypersym import (
     DuplicateEdgeError,
     EdgeSizeError,
+    InternalConsistencyError,
     ParameterError,
     RepeatedVertexError,
     VertexRangeError,
@@ -137,3 +139,12 @@ def test_rebuild_is_identity():
         g = random_hypergraph(rng, rng.choice([2, 3]), n_max=7)
         again = build_hypergraph(g.uniformity, g.vertex_count, g.edges)
         assert again == g
+
+
+def test_a_whole_list_rejection_the_per_edge_rules_accept_raises(monkeypatch):
+    monkeypatch.setattr(hypersym.hypergraph, "_increasing_slots", lambda rows, width: False)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"^whole-list edge checks rejected edges the per-edge rules accept$",
+    ):
+        build_hypergraph(2, 3, [[1, 2], [2, 3]])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -18,13 +19,14 @@ from hypersym import (
     cycle,
     cyclic_index,
     divisors,
+    is_connected,
     is_l_symmetric,
     nikiforov,
     single_edge,
     verify_coloring,
 )
 from hypersym.modular import _SpanBasis, _SparseRows
-from hypersym.symmetry import _index_generators, _witness
+from hypersym.symmetry import _index_generator, _witness
 
 from helpers import (
     enumeration_symmetric,
@@ -189,7 +191,7 @@ def test_all_ones_walk_self_check_raises(monkeypatch):
 def test_witness_refuses_an_order_outside_the_generators_ideal():
     # B x = 1 has no solution over Z_2 on an odd cycle
     c3 = cycle(3)
-    [(g, basis)] = _index_generators(c3, (2,))
+    g, basis = _index_generator(c3, 2), _SpanBasis(2, _SparseRows(c3.vertex_count, c3.edges))
     assert g == 2
     with pytest.raises(
         InternalConsistencyError,
@@ -200,9 +202,50 @@ def test_witness_refuses_an_order_outside_the_generators_ideal():
 
 def test_witness_self_check_raises(monkeypatch):
     c4 = cycle(4)
-    [(_, basis)] = _index_generators(c4, (2,))
+    basis = _SpanBasis(2, _SparseRows(c4.vertex_count, c4.edges))
     monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
     with pytest.raises(
         InternalConsistencyError, match=r"^order 2 witness over Z_2 fails edge-sum verification$"
     ):
         _witness(c4.edges, basis, 2)
+
+
+def _dense_connected(rng, t):
+    """A connected t-uniform graph with more than 4n edges, so that the
+    sampled walk starts from a proper subset of them."""
+    n = {2: 10, 3: 7, 4: 7, 5: 8}[t] + rng.randint(0, 1)
+    pool = list(itertools.combinations(range(1, n + 1), t))
+    while True:
+        graph = build_hypergraph(t, n, rng.sample(pool, rng.randint(4 * n + 1, len(pool))))
+        if is_connected(graph):
+            return graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    t=st.integers(2, 5),
+    factor=st.sampled_from([1, 2, 3]),
+)
+def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor):
+    graph = _dense_connected(rng, t)
+    q = factor * t
+    assert _index_generator(graph, q) == q // per_divisor_report(graph, q).cyclic_index
+
+
+def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
+    # with nikiforov's own labels the walk on the first 65-edge sample of
+    # the (12,12,8) family fails the edge-sum pass over Z_8; 65 violated
+    # edges join the sample, and the second walk passes
+    graph = nikiforov(NikiforovParams(1, 12, 12, 8))
+    built = []
+
+    def counting(modulus, matrix):
+        built.append(len(matrix.terms))
+        return _SpanBasis(modulus, matrix)
+
+    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
+    g = _index_generator(graph, 8)
+    assert built == [65, 130]
+    monkeypatch.undo()
+    assert g == 8 // per_divisor_report(graph, 8).cyclic_index
