@@ -160,8 +160,8 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    g_base = _index_generator(graph, t)
-    g_power = _index_generator(graph, m)
+    g_base, _ = _index_generator(graph, t)
+    g_power, _ = _index_generator(graph, m)
     base_c = t // g_base
     power_c = m // g_power
     product = blowup * base_c

@@ -96,19 +96,21 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     """Witness coloring if the spectrum is rotation-symmetric of order l.
 
     Decides solvability of B x = (m/l) * 1 over Z_m exactly; returns None
-    only when no coloring exists. The full span basis is built only for
-    the witness of a solvable order l > 1.
+    only when no coloring exists. The witness of a solvable order l > 1
+    comes from the span basis of the whole incidence, which is the walk's
+    own when the sample is every edge and is built only then otherwise.
     """
     m = _check_order(graph, symmetry_order)
     if not is_connected(graph):
         raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    g = _index_generator(graph, m)
+    g, basis = _index_generator(graph, m)
     if (m // symmetry_order) % g:
         return None
     if symmetry_order == 1:
         # the target is 0, whose witness is the zero coloring
         return Coloring(m, [0] * graph.vertex_count)
-    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
+    if basis is None:
+        basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
     return _witness(graph.edges, basis, symmetry_order)
 
 
@@ -117,23 +119,26 @@ def cyclic_index(graph: Hypergraph) -> SymmetryReport:
 
     Every divisor l of m is decided and recorded: l is solvable exactly
     when the g of `_index_generator` divides m/l, so divisor closure
-    holds by construction. Order 1 is the zero coloring. The span basis
-    of the whole incidence is built only when some order l > 1 is
-    solvable, and a solvable order's witness is its `express` solution
-    on that basis.
+    holds by construction. Order 1 is the zero coloring. A solvable
+    order's witness is its `express` solution on the span basis of the
+    whole incidence: the walk's own when the sample is every edge, and
+    otherwise built only when some order l > 1 is solvable.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
-    g = _index_generator(graph, m)
-    basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges)) if g < m else None
+    g, basis = _index_generator(graph, m)
+    if basis is None and g < m:
+        basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
     evidence = {1: Coloring(m, [0] * graph.vertex_count)}
     for ell in divisors(m)[1:]:
         evidence[ell] = None if (m // ell) % g else _witness(graph.edges, basis, ell)
     return SymmetryReport(m // g, evidence)
 
 
-def _index_generator(graph: Hypergraph, modulus: int) -> int:
+def _index_generator(
+    graph: Hypergraph, modulus: int
+) -> tuple[int, Optional[_SpanBasis]]:
     """The g with B x = b * 1 solvable over Z_q exactly for the multiples b
     of g, for the incidence B of a connected graph; the index is q/g.
 
@@ -144,15 +149,21 @@ def _index_generator(graph: Hypergraph, modulus: int) -> int:
     gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
     every edge when k < 4n. When the pass fails, the first violated edges
     join S, at most |S| of them, and the walk runs again.
+
+    When S is every edge in canonical order, the walk's basis is the span
+    basis of the whole incidence and is returned with g for the witnesses;
+    otherwise None is.
     """
     q = modulus
     edges = graph.edges
     n = graph.vertex_count
-    sample = list(edges[:: max(1, len(edges) // (2 * n))])
+    step = max(1, len(edges) // (2 * n))
+    sample = list(edges[::step])
     while True:
-        a, x = _SpanBasis(q, _SparseRows(n, sample)).express(repeat(1))
+        basis = _SpanBasis(q, _SparseRows(n, sample))
+        a, x = basis.express(repeat(1))
         if _edge_sums_hit(edges, x, q, a):
-            return gcd(a, q)
+            return gcd(a, q), basis if step == 1 else None
         size = len(sample)
         if size < len(edges):
             get = x.__getitem__

@@ -191,7 +191,7 @@ def test_all_ones_walk_self_check_raises(monkeypatch):
 def test_witness_refuses_an_order_outside_the_generators_ideal():
     # B x = 1 has no solution over Z_2 on an odd cycle
     c3 = cycle(3)
-    g, basis = _index_generator(c3, 2), _SpanBasis(2, _SparseRows(c3.vertex_count, c3.edges))
+    g, basis = _index_generator(c3, 2)
     assert g == 2
     with pytest.raises(
         InternalConsistencyError,
@@ -202,7 +202,7 @@ def test_witness_refuses_an_order_outside_the_generators_ideal():
 
 def test_witness_self_check_raises(monkeypatch):
     c4 = cycle(4)
-    basis = _SpanBasis(2, _SparseRows(c4.vertex_count, c4.edges))
+    _, basis = _index_generator(c4, 2)
     monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
     with pytest.raises(
         InternalConsistencyError, match=r"^order 2 witness over Z_2 fails edge-sum verification$"
@@ -230,7 +230,9 @@ def _dense_connected(rng, t):
 def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor):
     graph = _dense_connected(rng, t)
     q = factor * t
-    assert _index_generator(graph, q) == q // per_divisor_report(graph, q).cyclic_index
+    g, basis = _index_generator(graph, q)
+    assert g == q // per_divisor_report(graph, q).cyclic_index
+    assert basis is None
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
@@ -245,7 +247,8 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
         return _SpanBasis(modulus, matrix)
 
     monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
-    g = _index_generator(graph, 8)
+    g, basis = _index_generator(graph, 8)
     assert built == [65, 130]
+    assert basis is None
     monkeypatch.undo()
     assert g == 8 // per_divisor_report(graph, 8).cyclic_index
