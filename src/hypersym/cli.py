@@ -11,6 +11,7 @@ Exit codes are a stable contract: 0 success (or equality holding),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -82,7 +83,11 @@ def cmd_power(args) -> int:
     power, layout = generalized_power(graph, m, args.s)
     fileio.write_hypergraph(power, args.output)
     layout_path = f"{args.output}.layout"
-    fileio.write_layout(layout, layout_path)
+    try:
+        fileio.write_layout(layout, layout_path)
+    except OSError:
+        os.remove(args.output)  # no half of the output pair is left
+        raise
     print(f"wrote {args.output} ({power.vertex_count} vertices, "
           f"{power.edge_count} edges, uniform {power.uniformity})")
     print(f"wrote {layout_path}")
@@ -119,7 +124,11 @@ def cmd_nikiforov(args) -> int:
     graph = nikiforov(params, budget=args.budget)
     fileio.write_hypergraph(graph, args.output)
     coloring_path = f"{args.output}.coloring"
-    fileio.write_coloring(nikiforov_coloring(params), coloring_path)
+    try:
+        fileio.write_coloring(nikiforov_coloring(params), coloring_path)
+    except OSError:
+        os.remove(args.output)  # no half of the output pair is left
+        raise
     print(f"wrote {args.output} ({graph.vertex_count} vertices, "
           f"{graph.edge_count} edges, uniform {graph.uniformity})")
     print(f"wrote {coloring_path}")

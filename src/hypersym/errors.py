@@ -12,7 +12,12 @@ class HypersymError(Exception):
 
 
 class HypergraphError(HypersymError, ValueError):
-    """Invalid hypergraph structure."""
+    """Invalid hypergraph structure; `index` is the 0-based position of the
+    edge at fault."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class EdgeSizeError(HypergraphError):

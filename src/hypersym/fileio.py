@@ -10,17 +10,12 @@ writing it back reproduces it byte for byte.
 from __future__ import annotations
 
 import os
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import (
-    FileFormatError,
-    HypergraphError,
-    InternalConsistencyError,
-    ParameterError,
-)
-from .hypergraph import Hypergraph, _build_in_passes, _build_per_edge
+from .errors import FileFormatError, HypergraphError, ParameterError
+from .hypergraph import Hypergraph, _build
 from .power import PowerLayout
 from .symmetry import Coloring
 
@@ -48,11 +43,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     The text is split into lines once and the two headers are read.
     The edge lines, without blank and comment lines, are converted to
-    integer tuples in C-level passes and checked as one list by the
-    whole-list passes of `build_hypergraph`. When a token is not an
-    integer or a pass rejects the list, the edge lines are replayed one
-    at a time through the builder's per-edge rules, which raise the
-    error of the first faulty line, or of the headers.
+    integer tuples in C-level passes, up to the first line with a token
+    that is not an integer, and the converted rows are built by the
+    builder of `build_hypergraph`. Its error is reported at the line of
+    the edge it names (the error's `index`), or at the `vertices` line
+    for a bad header value. Only then is a line that is not all integers
+    reported, so the first faulty line wins.
     """
     lines = text.splitlines()
     significant = _significant_lines(lines)
@@ -71,32 +67,23 @@ def parse_hypergraph(text: str) -> Hypergraph:
     # show whether any line is blank or a comment
     if {"", "#"} & set(map(itemgetter(slice(1)), map(str.lstrip, body))):
         body = [line for _, line in _significant_lines(body)]
+    rows: list[tuple[int, ...]] = []
     try:
-        graph = _build_in_passes(
-            uniformity,
-            vertex_count,
-            list(map(tuple, map(map, repeat(int), map(str.split, body)))),
-        )
+        rows.extend(map(tuple, map(map, repeat(int), map(str.split, body))))
     except ValueError:
-        graph = None  # a token is not an integer
-    if graph is not None:
-        return graph
-
-    def edges() -> Iterator[tuple[int, ...]]:
-        nonlocal number
-        for number, line in significant:
-            try:
-                yield tuple(map(int, line.split()))
-            except ValueError:
-                raise FileFormatError(f"edge line is not all integers: {line!r}", number)
-
+        pass  # `rows` holds the lines before the first that is not all integers
     try:
-        _build_per_edge(uniformity, vertex_count, edges())
-    except (HypergraphError, ParameterError) as err:
+        graph = _build(uniformity, vertex_count, rows)
+    except ParameterError as err:
         raise FileFormatError(str(err), number) from err
-    raise InternalConsistencyError(
-        "whole-list edge checks rejected lines the per-edge rules accept"
-    )
+    except HypergraphError as err:
+        # `significant` resumes after the headers, at the first edge line
+        number, _ = next(islice(significant, err.index, None))
+        raise FileFormatError(str(err), number) from err
+    if len(rows) < len(body):
+        number, line = next(islice(significant, len(rows), None))
+        raise FileFormatError(f"edge line is not all integers: {line!r}", number)
+    return graph
 
 
 def format_hypergraph(graph: Hypergraph) -> str:

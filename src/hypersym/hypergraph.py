@@ -45,51 +45,60 @@ def build_hypergraph(
 
     Each edge must contain exactly `uniformity` distinct vertices in
     [1, vertex_count], and no vertex set may appear twice. Edges are
-    sorted internally and the edge list sorted lexicographically. The
-    edges are checked in whole-list passes (`_build_in_passes`); a list
-    they reject is replayed in the given order through `_build_per_edge`,
-    which raises the error of the first faulty edge.
+    sorted internally and the edge list sorted lexicographically. A
+    rejected edge's error carries its 0-based position as `index`; see
+    `_build`.
     """
-    given = list(map(tuple, edges))
-    graph = _build_in_passes(uniformity, vertex_count, given.copy())
-    if graph is None:
-        _build_per_edge(uniformity, vertex_count, given)
-        raise InternalConsistencyError(
-            "whole-list edge checks rejected edges the per-edge rules accept"
-        )
-    return graph
+    return _build(uniformity, vertex_count, list(map(tuple, edges)))
 
 
-def _build_in_passes(
+def _build(
     uniformity: int, vertex_count: int, rows: list[tuple[int, ...]]
-) -> Hypergraph | None:
-    """The hypergraph of `rows`, or None when a whole-list pass rejects them.
+) -> Hypergraph:
+    """The hypergraph of `rows`, checked in whole-list passes.
 
-    The passes check the edge sizes, then each pair of neighbouring
-    slots, which must increase strictly, so no vertex repeats (edges are
-    sorted first if some edge is not increasing), then the least first
-    and the greatest last vertex, then strict increase of the edge list,
-    so no edge repeats (it is sorted first if it is not increasing).
-    `rows` is sorted in place, and nothing loops over a header value.
+    The passes check the parameters, the edge sizes, that no edge repeats
+    a vertex and every vertex is in range, then strict increase of the
+    edge list, so no edge repeats. A list they reject is replayed in the
+    given order through `_build_per_edge`, which raises the error of the
+    first faulty edge. Nothing loops over a header value.
     """
-    if not 2 <= uniformity <= vertex_count:
-        return None
-    if rows:
-        if set(map(len, rows)) != {uniformity}:
-            return None
-        if not _increasing_slots(rows, uniformity):
-            # a block at a time, so the unsorted edges are not all held twice
-            for i in range(0, len(rows), 1024):
-                rows[i : i + 1024] = map(tuple, map(sorted, rows[i : i + 1024]))
-            if not _increasing_slots(rows, uniformity):
-                return None
-        if min(map(itemgetter(0), rows)) < 1 or max(map(itemgetter(-1), rows)) > vertex_count:
-            return None
-        if not _increasing(rows):
-            rows.sort()
-            if not _increasing(rows):
-                return None
-    return Hypergraph(uniformity, vertex_count, tuple(rows))
+    if 2 <= uniformity <= vertex_count and _vertices_pass(uniformity, vertex_count, rows):
+        # the list order is checked on a sorted copy, so that a replay
+        # reads the edges in the given order
+        ordered = rows if _increasing(rows) else sorted(rows)
+        if ordered is rows or _increasing(ordered):
+            return Hypergraph(uniformity, vertex_count, tuple(ordered))
+    _build_per_edge(uniformity, vertex_count, rows)
+    raise InternalConsistencyError(
+        "whole-list edge checks rejected edges the per-edge rules accept"
+    )
+
+
+def _vertices_pass(
+    uniformity: int, vertex_count: int, rows: list[tuple[int, ...]]
+) -> bool:
+    """True iff every row lists `uniformity` distinct vertices in
+    [1, vertex_count]; every row is then increasing.
+
+    The rows are checked a block at a time, and a block not all increasing
+    is sorted first, so the unsorted rows are not all held twice. A block
+    replaces its rows only once it has passed, so a replay prints the
+    faulty row as given; a sorted row before it can only be a duplicate,
+    whose message prints it sorted anyway.
+    """
+    if set(map(len, rows)) - {uniformity}:
+        return False
+    for i in range(0, len(rows), 1024):
+        block = rows[i : i + 1024]
+        if not _increasing_slots(block, uniformity):
+            block = list(map(tuple, map(sorted, block)))
+            if not _increasing_slots(block, uniformity):
+                return False
+        if min(map(itemgetter(0), block)) < 1 or max(map(itemgetter(-1), block)) > vertex_count:
+            return False
+        rows[i : i + 1024] = block
+    return True
 
 
 def _increasing(items: list) -> bool:
@@ -109,34 +118,33 @@ def _build_per_edge(
     uniformity: int, vertex_count: int, edges: Iterable[Sequence[int]]
 ) -> Hypergraph:
     """`build_hypergraph` one edge at a time; the only place its errors
-    are written. Each edge is checked as it is drawn from `edges`, so a
-    caller streaming them knows which edge an error is about."""
+    are written. Each edge is checked as it is drawn from `edges`, and an
+    error carries the edge's 0-based position as `index`."""
     if uniformity < 2:
         raise ParameterError(f"uniformity must be >= 2, got {uniformity}")
     if vertex_count < uniformity:
         raise ParameterError(
             f"vertex_count must be >= uniformity, got {vertex_count} < {uniformity}"
         )
-    canonical: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for raw in edges:
+    for index, raw in enumerate(edges):
         edge = tuple(sorted(raw))
         if len(edge) != uniformity:
             raise EdgeSizeError(
-                f"edge {tuple(raw)} has {len(raw)} vertices, expected {uniformity}"
+                f"edge {tuple(raw)} has {len(raw)} vertices, expected {uniformity}",
+                index,
             )
         if len(set(edge)) != uniformity:
-            raise RepeatedVertexError(f"edge {tuple(raw)} repeats a vertex")
+            raise RepeatedVertexError(f"edge {tuple(raw)} repeats a vertex", index)
         if edge[0] < 1 or edge[-1] > vertex_count:
             raise VertexRangeError(
-                f"edge {tuple(raw)} uses a vertex outside [1, {vertex_count}]"
+                f"edge {tuple(raw)} uses a vertex outside [1, {vertex_count}]", index
             )
         if edge in seen:
-            raise DuplicateEdgeError(f"edge {set(edge)} appears more than once")
-        seen.add(edge)
-        canonical.append(edge)
-    canonical.sort()
-    return Hypergraph(uniformity, vertex_count, tuple(canonical))
+            raise DuplicateEdgeError(f"edge {set(edge)} appears more than once", index)
+        # a sorted tuple as given is kept, so the edges are not held twice
+        seen.add(raw if edge == raw else edge)
+    return Hypergraph(uniformity, vertex_count, tuple(sorted(seen)))
 
 
 def is_connected(graph: Hypergraph) -> bool:

@@ -134,36 +134,58 @@ def _unit_for(a: int, m: int) -> int:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-class _SparseRows:
-    """A k x n integer matrix A kept as its nonzero entries, with the two
-    lookups a span basis needs; built once and shared by every modulus.
+class _SpanBasis:
+    """Echelonized generating set for the column span of a k x n integer
+    matrix A over Z_m.
 
-    `rows[pos]` lists the columns of the nonzero entries of row `pos`,
-    numbered from 1, and `weights[pos]` those entries. With `weights` None
-    every listed entry is 1: `rows` is then the vertex tuple of each edge,
-    the incidence matrix without its zeros. A coefficient vector c has a
-    leading slot 0 that is always 0 and then one entry per column, so a
-    row indexes it directly, as `verify_coloring` indexes `(0, *values)`.
-    `terms[pos]` maps c to the terms of (A c)[pos]; a 0/1 row, an edge of
-    two or more vertices, gathers its coefficients with one `itemgetter`,
-    a weighted row multiplies each coefficient by its weight, so an entry
-    a costs one product, not a copies of a column. A column's mask is a
-    k-bit integer whose binary digit `pos` of `format(mask, f"0{k}b")` is
-    1 exactly when row `pos` lists the column. `classes[j]` is the class
-    of column j, (mask, column indices): equal 0/1 columns, those with the
-    same mask, share one class, and with `weights` every column is its
-    own class. Slot 0 has none. Callers pass program-built data;
-    `ModMatrix` is the checked entry point for anything else.
+    A is given as its nonzero entries: `rows[pos]` lists the columns of
+    the nonzero entries of row `pos`, numbered from 1, and `weights[pos]`
+    those entries. With `weights` None every listed entry is 1: `rows` is
+    then the vertex tuple of each edge, the incidence matrix without its
+    zeros. Callers pass program-built data; `ModMatrix` is the checked
+    entry point for anything else.
+
+    Built by gcd-pivot row reduction over Z_m applied to the transposed
+    matrix, with one extra rule that makes membership testing complete
+    for composite moduli: whenever a pivot p is placed, the annihilator
+    multiple (m // p) * row is appended to the working set. Those extra
+    rows capture the combinations that vanish at the pivot but not later,
+    exactly the ambiguity a greedy reduction must be able to absorb
+    (Howell's canonical-form construction).
+
+    A working row is a column combination A c, and it is stored only as
+    its coefficient vector c: a leading slot 0 that is always 0 and then
+    one entry per column, so a row of A indexes it directly, as
+    `verify_coloring` indexes `(0, *values)`. Slot 0 never gets a working
+    row of its own: slot order is part of the pivot choice. The entry
+    (A c)[pos] is evaluated when needed, so no length-k vector is ever
+    built: `terms[pos]` maps c to its terms; a 0/1 row gathers its
+    coefficients with one `itemgetter`, a weighted row multiplies each
+    coefficient by its weight, so an entry a costs one product, not a
+    copies of a column. A column's mask is a k-bit integer whose binary
+    digit `pos` of `format(mask, f"0{k}b")` is 1 exactly when row `pos`
+    lists the column. `classes[j]` is the class of column j, (mask,
+    column indices): equal 0/1 columns, those with the same mask, share
+    one class, and with `weights` every column is its own class. Slot 0
+    has none. Each unplaced row caches its first nonzero position and the
+    entry there; the reduction jumps to the smallest cached position and
+    rescans only the rows it changed. Each pivot keeps its coefficient
+    vector, so reducing a target to zero also yields a solution x with
+    A x = target.
     """
 
     def __init__(
         self,
+        modulus: int,
         width: int,
         rows: Sequence[Sequence[int]],
         weights: Optional[Sequence[Sequence[int]]] = None,
     ):
+        m = modulus
+        self.modulus = m
         self.width = width
-        flags = [bytearray(b"0" * len(rows)) for _ in range(width + 1)]
+        k = len(rows)
+        flags = [bytearray(b"0" * k) for _ in range(width + 1)]
         for pos, cols in enumerate(rows):
             for j in cols:
                 flags[j][pos] = 49  # ord("1")
@@ -181,38 +203,6 @@ class _SparseRows:
         for j in range(1, width + 1):
             classes.setdefault(keys[j], (masks[j], []))[1].append(j)
         self.classes = [None, *(classes[keys[j]] for j in range(1, width + 1))]
-
-
-class _SpanBasis:
-    """Echelonized generating set for the column span of a k x n matrix A.
-
-    Built by gcd-pivot row reduction over Z_m applied to the transposed
-    matrix, with one extra rule that makes membership testing complete
-    for composite moduli: whenever a pivot p is placed, the annihilator
-    multiple (m // p) * row is appended to the working set. Those extra
-    rows capture the combinations that vanish at the pivot but not later,
-    exactly the ambiguity a greedy reduction must be able to absorb
-    (Howell's canonical-form construction).
-
-    A working row is a column combination A c, and it is stored only as
-    its coefficient vector c (n + 1 slots, slot 0 the zero slot of
-    `_SparseRows`, which never gets a working row of its own: slot
-    order is part of the pivot choice). Its entry at position `pos`,
-    (A c)[pos], is evaluated when needed from row `pos` of A, so no
-    length-k vector is ever built. Each unplaced row caches its first
-    nonzero position and the entry there; the reduction jumps to the
-    smallest cached position and rescans only the rows it changed. Each
-    pivot keeps its coefficient vector, so reducing a target to zero
-    also yields a solution x with A x = target.
-    """
-
-    def __init__(self, modulus: int, matrix: _SparseRows):
-        m = modulus
-        width = matrix.width
-        self.modulus = m
-        self.width = width
-        self._matrix = matrix
-        k = len(matrix.terms)
         # Working rows [next nonzero position, entry there, coefficients];
         # unplaced rows are zero at every position already passed, and a
         # row that is zero everywhere keeps position k and its slot, since
@@ -274,14 +264,13 @@ class _SpanBasis:
         nothing.
         """
         m = self.modulus
-        matrix = self._matrix
-        terms = matrix.terms
+        terms = self.terms
         k = len(terms)
         get = coef.__getitem__
         met = 0
         # `compress` yields the class of each column with a nonzero
         # coefficient, so every class with a nonzero sum; a repeat ORs again
-        for mask, js in compress(matrix.classes, coef):
+        for mask, js in compress(self.classes, coef):
             if sum(map(get, js)) % m:
                 met |= mask
         if not met:
@@ -316,7 +305,7 @@ class _SpanBasis:
         m = self.modulus
         a = 1
         x = [0] * (self.width + 1)
-        for pos, (want, terms) in enumerate(zip(target, self._matrix.terms)):
+        for pos, (want, terms) in enumerate(zip(target, self.terms)):
             r = (a * want - sum(terms(x))) % m
             if not r:
                 continue
@@ -350,8 +339,7 @@ def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
         )
     cols = [[j for j, a in enumerate(row, 1) if a] for row in matrix.entries]
     weights = [[row[j - 1] for j in c] for row, c in zip(matrix.entries, cols)]
-    sparse = _SparseRows(matrix.cols, cols, weights)
-    a, x = _SpanBasis(matrix.modulus, sparse).express(rhs.entries)
+    a, x = _SpanBasis(matrix.modulus, matrix.cols, cols, weights).express(rhs.entries)
     if a != 1:
         return None
     witness = ModVector(matrix.modulus, x[1:])

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .modular import _Checked, _SpanBasis, _SparseRows
+from .modular import _Checked, _SpanBasis
 
 
 class _ColoringFields(NamedTuple):
@@ -110,7 +110,7 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
         # the target is 0, whose witness is the zero coloring
         return Coloring(m, [0] * graph.vertex_count)
     if basis is None:
-        basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
+        basis = _SpanBasis(m, graph.vertex_count, graph.edges)
     return _witness(graph.edges, basis, symmetry_order)
 
 
@@ -129,7 +129,7 @@ def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     m = graph.uniformity
     g, basis = _index_generator(graph, m)
     if basis is None and g < m:
-        basis = _SpanBasis(m, _SparseRows(graph.vertex_count, graph.edges))
+        basis = _SpanBasis(m, graph.vertex_count, graph.edges)
     evidence = {1: Coloring(m, [0] * graph.vertex_count)}
     for ell in divisors(m)[1:]:
         evidence[ell] = None if (m // ell) % g else _witness(graph.edges, basis, ell)
@@ -160,7 +160,7 @@ def _index_generator(
     step = max(1, len(edges) // (2 * n))
     sample = list(edges[::step])
     while True:
-        basis = _SpanBasis(q, _SparseRows(n, sample))
+        basis = _SpanBasis(q, n, sample)
         a, x = basis.express(repeat(1))
         if _edge_sums_hit(edges, x, q, a):
             return gcd(a, q), basis if step == 1 else None

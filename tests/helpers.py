@@ -37,7 +37,7 @@ from hypersym import (
 from hypersym.errors import FileFormatError, HypergraphError, ParameterError
 from hypersym.fileio import _header_value, _significant_lines
 from hypersym.hypergraph import _build_per_edge
-from hypersym.modular import _SpanBasis, _SparseRows, _unit_for, _xgcd
+from hypersym.modular import _SpanBasis, _unit_for, _xgcd
 from hypersym.spectral import _contract, _edge_index
 
 
@@ -382,7 +382,7 @@ def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
     report when q is the uniformity.
     """
     q = modulus
-    basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))
+    basis = _SpanBasis(q, graph.vertex_count, graph.edges)
     evidence = {}
     for ell in divisors(q):
         a, x = basis.express([q // ell] * graph.edge_count)

@@ -446,6 +446,28 @@ def test_power_self_check_failure_exits_7_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.hg"]
 
 
+def test_power_companion_write_failure_exits_2_and_writes_nothing(c4_file, tmp_path, capsys):
+    # the layout path is a directory: the power file written first is removed
+    layout = tmp_path / "p.hg.layout"
+    layout.mkdir()
+    assert main(["power", c4_file, "--s", "2", "-o", str(tmp_path / "p.hg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(layout)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c4.hg", "p.hg.layout"]
+
+
+def test_nikiforov_companion_write_failure_exits_2_and_writes_nothing(tmp_path, capsys):
+    coloring = tmp_path / "n.hg.coloring"
+    coloring.mkdir()
+    out = tmp_path / "n.hg"
+    assert main(["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(coloring)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.hg.coloring"]
+
+
 def test_nikiforov_self_check_failure_exits_7_and_writes_nothing(
     tmp_path, monkeypatch, capsys
 ):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hypersym.fileio
+import hypersym.hypergraph
 from hypersym import (
     Coloring,
     FileFormatError,
@@ -183,6 +183,20 @@ def test_parser_reports_the_builders_verdict_at_the_right_line(case, padding):
         assert info.value.line == (edge_line[bad] if bad >= 0 else 3)
 
 
+@settings(deadline=None)
+@given(edge_lists_with_faults())
+def test_builder_error_names_the_first_bad_edge(case):
+    m, n, edges = case
+    bad = _first_bad_edge(m, n, edges)
+    if bad is None:
+        build_hypergraph(m, n, edges)
+        return
+    with pytest.raises((HypergraphError, ParameterError)) as info:
+        build_hypergraph(m, n, edges)
+    # a header error has no edge index; `_first_bad_edge` reports it as -1
+    assert getattr(info.value, "index", -1) == bad
+
+
 def _outcome(parse, text):
     """The graph a parser returns, or the class, text, line and cause of its error."""
     try:
@@ -218,6 +232,8 @@ def messy_hypergraph_texts(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(messy_hypergraph_texts())
+# a replay on the sorted edge list would name line 4, the first copy
+@example("uniform 4\nvertices 6\n1 2 3 4\n1 2 3 5\n1 2 3 4\n")
 def test_parser_matches_the_streaming_reader(text):
     assert _outcome(parse_hypergraph, text) == _outcome(parse_hypergraph_loop, text)
 
@@ -255,9 +271,10 @@ def test_builder_matches_its_per_edge_rules(case, rng):
 
 
 def test_an_edge_list_rejection_the_per_edge_rules_accept_raises(monkeypatch):
-    monkeypatch.setattr(hypersym.fileio, "_build_in_passes", lambda *args: None)
+    # the reader reaches the builder's one raise: no edge list is increasing
+    monkeypatch.setattr(hypersym.hypergraph, "_increasing", lambda items: False)
     with pytest.raises(
         InternalConsistencyError,
-        match=r"^whole-list edge checks rejected lines the per-edge rules accept$",
+        match=r"^whole-list edge checks rejected edges the per-edge rules accept$",
     ):
         parse_hypergraph("uniform 2\nvertices 3\n1 2\n2 3\n")

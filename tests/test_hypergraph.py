@@ -142,7 +142,7 @@ def test_rebuild_is_identity():
 
 
 def test_a_whole_list_rejection_the_per_edge_rules_accept_raises(monkeypatch):
-    monkeypatch.setattr(hypersym.hypergraph, "_increasing_slots", lambda rows, width: False)
+    monkeypatch.setattr(hypersym.hypergraph, "_increasing", lambda items: False)
     with pytest.raises(
         InternalConsistencyError,
         match=r"^whole-list edge checks rejected edges the per-edge rules accept$",

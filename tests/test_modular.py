@@ -21,7 +21,7 @@ from hypersym import (
     nikiforov,
     solve_linear_mod,
 )
-from hypersym.modular import _SpanBasis, _SparseRows
+from hypersym.modular import _SpanBasis
 
 from helpers import DenseSpanBasis, enumeration_solvable, random_hypergraph
 
@@ -166,7 +166,7 @@ def _assert_same_basis(rng, modulus, width, rows, weights, dense):
     divisor d of m whose d * target the oracle expresses. `rows` number
     columns from 1, and every coefficient vector has a leading zero slot
     that the oracle's lacks."""
-    new = _SpanBasis(modulus, _SparseRows(width, rows, weights))
+    new = _SpanBasis(modulus, width, rows, weights)
     old = DenseSpanBasis(modulus, dense)
     assert list(new.pivots) == list(old.pivots)
     for pos, (p, pcoef) in new.pivots.items():
@@ -236,8 +236,7 @@ def test_twin_kernel_rows_cost_no_evaluation(modulus):
     # edges: their difference is a kernel row, which `_scan` finds zero from
     # the class sums alone, without evaluating one row of the matrix
     power, layout = generalized_power(nikiforov(NikiforovParams(1, 6, 6, 4)), 8, 2)
-    sparse = _SparseRows(power.vertex_count, power.edges)
-    basis = _SpanBasis(modulus, sparse)
+    basis = _SpanBasis(modulus, power.vertex_count, power.edges)
     calls = []
 
     def counted(terms):
@@ -246,7 +245,7 @@ def test_twin_kernel_rows_cost_no_evaluation(modulus):
             return terms(coef)
         return call
 
-    sparse.terms = [counted(terms) for terms in sparse.terms]
+    basis.terms = [counted(terms) for terms in basis.terms]
     k = power.edge_count
     for a, b in layout.vertex_blocks:
         coef = [0] * (power.vertex_count + 1)

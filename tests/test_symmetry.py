@@ -25,7 +25,7 @@ from hypersym import (
     single_edge,
     verify_coloring,
 )
-from hypersym.modular import _SpanBasis, _SparseRows
+from hypersym.modular import _SpanBasis
 from hypersym.symmetry import _index_generator, _witness
 
 from helpers import (
@@ -171,7 +171,7 @@ def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
     graph = random_connected_hypergraph(rng, t, n_max=t + 4)
     q = factor * t
     oracle = per_divisor_report(graph, q)
-    basis = _SpanBasis(q, _SparseRows(graph.vertex_count, graph.edges))
+    basis = _SpanBasis(q, graph.vertex_count, graph.edges)
     a, _ = basis.express([1] * graph.edge_count)
     assert gcd(a, q) == q // oracle.cyclic_index
     if q == t:
@@ -242,9 +242,9 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
     graph = nikiforov(NikiforovParams(1, 12, 12, 8))
     built = []
 
-    def counting(modulus, matrix):
-        built.append(len(matrix.terms))
-        return _SpanBasis(modulus, matrix)
+    def counting(modulus, width, rows):
+        built.append(len(rows))
+        return _SpanBasis(modulus, width, rows)
 
     monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
     g, basis = _index_generator(graph, 8)
