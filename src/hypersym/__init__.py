@@ -38,7 +38,7 @@ from .hypergraph import (
     incidence_matrix,
     is_connected,
 )
-from .modular import ModMatrix, ModVector, mat_vec_mod, solve_linear_mod
+from .modular import ModMatrix, mat_vec_mod, solve_linear_mod
 from .power import (
     ConjectureReport,
     PowerLayout,
@@ -79,7 +79,6 @@ __all__ = [
     "HypersymError",
     "InternalConsistencyError",
     "ModMatrix",
-    "ModVector",
     "ModulusMismatchError",
     "NikiforovParams",
     "ParameterError",

@@ -163,8 +163,15 @@ def cmd_verify_coloring(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a bad parameter: one `error:` line and exit 4."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypersym",
         description="Cyclic index and spectral symmetry of uniform hypergraphs.",
     )
@@ -217,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (HypersymError, OSError, MemoryError) as err:
         # a MemoryError usually carries no message

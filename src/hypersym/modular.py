@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
-    ModulusMismatchError,
     ParameterError,
 )
 
@@ -61,41 +60,15 @@ class ModMatrix(_Checked, _ModMatrixFields):
         return len(self.entries[0])
 
 
-class _ModVectorFields(NamedTuple):
-    modulus: int
-    entries: tuple[int, ...]
-
-
-class ModVector(_Checked, _ModVectorFields):
-    """Vector with entries reduced into [0, modulus); its length is the
-    number of entries, not of fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, modulus: int, entries: Iterable[int]):
-        if modulus < 2:
-            raise ParameterError(f"modulus must be >= 2, got {modulus}")
-        return super().__new__(cls, modulus, tuple(int(e) % modulus for e in entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def mat_vec_mod(matrix: ModMatrix, vector: ModVector) -> ModVector:
-    """Exact product A x reduced mod m."""
-    if matrix.modulus != vector.modulus:
-        raise ModulusMismatchError(
-            f"matrix modulus {matrix.modulus} != vector modulus {vector.modulus}"
-        )
+def mat_vec_mod(matrix: ModMatrix, vector: Sequence[int]) -> tuple[int, ...]:
+    """Exact product A x reduced mod m, with x read mod m."""
     if matrix.cols != len(vector):
         raise DimensionMismatchError(
             f"matrix has {matrix.cols} columns, vector has {len(vector)} entries"
         )
     m = matrix.modulus
-    x = vector.entries
-    return ModVector(
-        m, (sum(a * b for a, b in zip(row, x)) % m for row in matrix.entries)
-    )
+    x = [int(e) % m for e in vector]
+    return tuple(sum(a * b for a, b in zip(row, x)) % m for row in matrix.entries)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -321,28 +294,26 @@ class _SpanBasis:
         return a, x
 
 
-def solve_linear_mod(matrix: ModMatrix, rhs: ModVector) -> Optional[ModVector]:
-    """Solve A x = b (mod m); return one witness or None.
+def solve_linear_mod(matrix: ModMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Solve A x = b (mod m), with b read mod m; return one witness or None.
 
     Complete for every modulus: b is reduced against an annihilator-closed
     echelon basis of the column span of A, so the verdict "no solution"
     is exact, not a pivoting accident. Any returned witness is checked by
     substitution before being handed back.
     """
-    if matrix.modulus != rhs.modulus:
-        raise ModulusMismatchError(
-            f"matrix modulus {matrix.modulus} != rhs modulus {rhs.modulus}"
-        )
     if matrix.rows != len(rhs):
         raise DimensionMismatchError(
             f"matrix has {matrix.rows} rows, rhs has {len(rhs)} entries"
         )
+    m = matrix.modulus
+    b = tuple(int(e) % m for e in rhs)
     cols = [[j for j, a in enumerate(row, 1) if a] for row in matrix.entries]
     weights = [[row[j - 1] for j in c] for row, c in zip(matrix.entries, cols)]
-    a, x = _SpanBasis(matrix.modulus, matrix.cols, cols, weights).express(rhs.entries)
+    a, x = _SpanBasis(m, matrix.cols, cols, weights).express(b)
     if a != 1:
         return None
-    witness = ModVector(matrix.modulus, x[1:])
-    if mat_vec_mod(matrix, witness).entries != rhs.entries:
+    witness = tuple(x[1:])
+    if mat_vec_mod(matrix, witness) != b:
         raise InternalConsistencyError("solver produced a non-solution")
     return witness

@@ -96,22 +96,10 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     """Witness coloring if the spectrum is rotation-symmetric of order l.
 
     Decides solvability of B x = (m/l) * 1 over Z_m exactly; returns None
-    only when no coloring exists. The witness of a solvable order l > 1
-    comes from the span basis of the whole incidence, which is the walk's
-    own when the sample is every edge and is built only then otherwise.
+    only when no coloring exists.
     """
-    m = _check_order(graph, symmetry_order)
-    if not is_connected(graph):
-        raise DisconnectedError("spectral symmetry requires a connected hypergraph")
-    g, basis = _index_generator(graph, m)
-    if (m // symmetry_order) % g:
-        return None
-    if symmetry_order == 1:
-        # the target is 0, whose witness is the zero coloring
-        return Coloring(m, [0] * graph.vertex_count)
-    if basis is None:
-        basis = _SpanBasis(m, graph.vertex_count, graph.edges)
-    return _witness(graph.edges, basis, symmetry_order)
+    _check_order(graph, symmetry_order)
+    return _evidence(graph, [symmetry_order])[1][symmetry_order]
 
 
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
@@ -119,21 +107,37 @@ def cyclic_index(graph: Hypergraph) -> SymmetryReport:
 
     Every divisor l of m is decided and recorded: l is solvable exactly
     when the g of `_index_generator` divides m/l, so divisor closure
-    holds by construction. Order 1 is the zero coloring. A solvable
-    order's witness is its `express` solution on the span basis of the
-    whole incidence: the walk's own when the sample is every edge, and
-    otherwise built only when some order l > 1 is solvable.
+    holds by construction.
+    """
+    g, evidence = _evidence(graph, divisors(graph.uniformity))
+    return SymmetryReport(graph.uniformity // g, evidence)
+
+
+def _evidence(graph: Hypergraph, orders) -> tuple[int, dict[int, Optional[Coloring]]]:
+    """The g of `_index_generator` over Z_m for a connected graph, and for
+    each order l in `orders`, all dividing m, its witness or None.
+
+    Order 1 is the zero coloring. A solvable order's witness is its
+    `express` solution on the span basis of the whole incidence: the
+    walk's own when the sample is every edge, and otherwise built at the
+    first solvable order l > 1.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
     g, basis = _index_generator(graph, m)
-    if basis is None and g < m:
-        basis = _SpanBasis(m, graph.vertex_count, graph.edges)
-    evidence = {1: Coloring(m, [0] * graph.vertex_count)}
-    for ell in divisors(m)[1:]:
-        evidence[ell] = None if (m // ell) % g else _witness(graph.edges, basis, ell)
-    return SymmetryReport(m // g, evidence)
+    evidence: dict[int, Optional[Coloring]] = {}
+    for ell in orders:
+        if (m // ell) % g:
+            evidence[ell] = None
+        elif ell == 1:
+            # the target is 0, whose witness is the zero coloring
+            evidence[ell] = Coloring(m, [0] * graph.vertex_count)
+        else:
+            if basis is None:
+                basis = _SpanBasis(m, graph.vertex_count, graph.edges)
+            evidence[ell] = _witness(graph.edges, basis, ell)
+    return g, evidence
 
 
 def _index_generator(

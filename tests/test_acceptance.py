@@ -12,7 +12,6 @@ from math import gcd
 from hypersym import (
     Coloring,
     ModMatrix,
-    ModVector,
     NikiforovParams,
     complete,
     conjecture_check,
@@ -103,9 +102,7 @@ def test_criterion_3_equality_matches_solvability(capsys):
         power, _ = generalized_power(graph, m, s)
         power_c = cyclic_index(power).cyclic_index
         inc = incidence_matrix(graph)
-        witness = solve_linear_mod(
-            ModMatrix(m, inc), ModVector(m, [t // base_c] * len(inc))
-        )
+        witness = solve_linear_mod(ModMatrix(m, inc), [t // base_c] * len(inc))
         if (power_c == s * base_c) != (witness is not None):
             exceptions += 1
     ok = exceptions == 0
@@ -147,7 +144,7 @@ def test_criterion_5_solver_completeness(capsys):
         cols = rng.randint(1, 5)
         entries = [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
         rhs = [rng.randrange(m) for _ in range(rows)]
-        got = solve_linear_mod(ModMatrix(m, entries), ModVector(m, rhs))
+        got = solve_linear_mod(ModMatrix(m, entries), rhs)
         if (got is not None) != enumeration_solvable(entries, rhs, m):
             mismatches += 1
     ok = mismatches == 0

@@ -253,6 +253,31 @@ def test_rho_rejects_non_finite_tolerance(c4_file, tol, capsys):
     assert capsys.readouterr().err.startswith("error: tolerance")
 
 
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "C4", "--s", "abc"],
+    ["conjecture", "C4"],
+    ["gen", "cycle", "x"],
+    ["rho", "C4", "--tol", "x"],
+    ["frobnicate"],
+    [],
+], ids=["non-integer", "missing-option", "non-integer-size", "non-float", "unknown-command",
+        "no-command"])
+def test_usage_error_is_a_bad_parameter_on_one_line(c4_file, argv, capsys):
+    assert main([c4_file if arg == "C4" else arg for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["conjecture", "-h"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hypersym")
+
+
 def test_verify_coloring_valid(c4_file, tmp_path, capsys):
     col = tmp_path / "c4.col"
     col.write_text("modulus 2\n1\n0\n1\n0\n")

@@ -171,18 +171,15 @@ def test_single_member_lift_of_base_system_solution():
         report = conjecture_check(base, s)
         if not report.characterization_solvable:
             continue
-        from hypersym import ModMatrix, ModVector, incidence_matrix, solve_linear_mod
+        from hypersym import ModMatrix, incidence_matrix, solve_linear_mod
 
         m = s * base.uniformity
         c = report.base_cyclic_index
         inc = incidence_matrix(base)
-        x = solve_linear_mod(
-            ModMatrix(m, inc),
-            ModVector(m, [base.uniformity // c] * len(inc)),
-        )
+        x = solve_linear_mod(ModMatrix(m, inc), [base.uniformity // c] * len(inc))
         assert x is not None
         power, layout = generalized_power(base, m, s)
-        lifted = lift_single_member(layout, Coloring(m, x.entries))
+        lifted = lift_single_member(layout, Coloring(m, x))
         assert verify_coloring(power, lifted, s * c)
 
 

@@ -12,7 +12,6 @@ from hypersym import (
     DimensionMismatchError,
     Hypergraph,
     ModMatrix,
-    ModVector,
     NikiforovParams,
     ParameterError,
     PowerLayout,
@@ -46,11 +45,6 @@ RECORDS = [
         (5, [[6, -1], [2, 3]]), (5, ((1, 4), (2, 3))), 2,
         ((5, [[1, 2], [3]]), DimensionMismatchError),
         id="ModMatrix",
-    ),
-    pytest.param(
-        ModVector, ("modulus", "entries"),
-        (5, [7, -2, 3]), (5, (2, 3, 3)), 3, ((1, [0]), ParameterError),
-        id="ModVector",
     ),
     pytest.param(
         PowerLayout, ("base_uniformity", "blowup", "uniformity", "vertex_blocks", "edge_blocks"),

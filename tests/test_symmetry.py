@@ -213,7 +213,7 @@ def test_witness_self_check_raises(monkeypatch):
 def _dense_connected(rng, t):
     """A connected t-uniform graph with more than 4n edges, so that the
     sampled walk starts from a proper subset of them."""
-    n = {2: 10, 3: 7, 4: 7, 5: 8}[t] + rng.randint(0, 1)
+    n = {2: 10, 3: 7, 4: 7, 5: 8, 6: 9}[t] + rng.randint(0, 1)
     pool = list(itertools.combinations(range(1, n + 1), t))
     while True:
         graph = build_hypergraph(t, n, rng.sample(pool, rng.randint(4 * n + 1, len(pool))))
@@ -221,18 +221,45 @@ def _dense_connected(rng, t):
             return graph
 
 
-@settings(max_examples=60, deadline=None)
+def _planted_connected(rng, t):
+    """A connected t-uniform graph with more than 4n edges, each summing
+    to t/l under a random x in Z_t^n for a random l > 1 dividing t, so
+    that its cyclic index exceeds 1."""
+    n = 20 if t == 2 else 12
+    ell = rng.choice(divisors(t)[1:])
+    while True:
+        x = [rng.randrange(t) for _ in range(n + 1)]
+        pool = [
+            e for e in itertools.combinations(range(1, n + 1), t)
+            if sum(x[v] for v in e) % t == t // ell
+        ]
+        if len(pool) > 4 * n:
+            graph = build_hypergraph(t, n, rng.sample(pool, rng.randint(4 * n + 1, len(pool))))
+            if is_connected(graph):
+                return graph
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     rng=st.randoms(use_true_random=False),
-    t=st.integers(2, 5),
+    t=st.integers(2, 6),
     factor=st.sampled_from([1, 2, 3]),
+    planted=st.booleans(),
 )
-def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor):
-    graph = _dense_connected(rng, t)
+def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
+    graph = (_planted_connected if planted else _dense_connected)(rng, t)
     q = factor * t
     g, basis = _index_generator(graph, q)
     assert g == q // per_divisor_report(graph, q).cyclic_index
     assert basis is None
+    if planted:
+        # the witnesses come from the whole-incidence basis built apart
+        # from the walk's
+        report = per_divisor_report(graph, t)
+        assert report.cyclic_index > 1
+        assert cyclic_index(graph) == report
+        for ell, witness in report.divisor_evidence.items():
+            assert is_l_symmetric(graph, ell) == witness
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
