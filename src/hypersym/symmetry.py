@@ -99,52 +99,59 @@ def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]
     only when no coloring exists.
     """
     _check_order(graph, symmetry_order)
-    return _evidence(graph, [symmetry_order])[1][symmetry_order]
+    return _evidence(graph, [symmetry_order])[symmetry_order]
 
 
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
     Every divisor l of m is decided and recorded: l is solvable exactly
-    when the g of `_index_generator` divides m/l, so divisor closure
-    holds by construction.
+    when g = gcd(a, m), for the a of `_index_generator`, divides m/l, so
+    divisor closure holds by construction and the index is m/g.
     """
-    g, evidence = _evidence(graph, divisors(graph.uniformity))
-    return SymmetryReport(graph.uniformity // g, evidence)
+    evidence = _evidence(graph, divisors(graph.uniformity))
+    return SymmetryReport(max(l for l, w in evidence.items() if w is not None), evidence)
 
 
-def _evidence(graph: Hypergraph, orders) -> tuple[int, dict[int, Optional[Coloring]]]:
-    """The g of `_index_generator` over Z_m for a connected graph, and for
-    each order l in `orders`, all dividing m, its witness or None.
+def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
+    """For a connected graph, each order l in `orders`, all dividing m,
+    mapped to its witness or None.
 
-    Order 1 is the zero coloring. A solvable order's witness is its
-    `express` solution on the span basis of the whole incidence: the
-    walk's own when the sample is every edge, and otherwise built at the
-    first solvable order l > 1.
+    Every witness is u * x for the proved B x = a * 1 of
+    `_index_generator`: a u with u * a = m/l (mod m) exists exactly when
+    g = gcd(a, m) divides m/l, and then B (u x) = (m/l) * 1. Order 1 has
+    u = 0, so when no order above 1 is asked for there is no walk: x = 0
+    and a = m prove as much. Each witness with u != 0 is checked by edge
+    sums.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
-    g, basis = _index_generator(graph, m)
+    if max(orders) > 1:
+        a, x = _index_generator(graph, m)
+    else:
+        a, x = m, [0] * (graph.vertex_count + 1)
+    g = gcd(a, m)
     evidence: dict[int, Optional[Coloring]] = {}
     for ell in orders:
-        if (m // ell) % g:
+        b = m // ell
+        if b % g:
             evidence[ell] = None
-        elif ell == 1:
-            # the target is 0, whose witness is the zero coloring
-            evidence[ell] = Coloring(m, [0] * graph.vertex_count)
-        else:
-            if basis is None:
-                basis = _SpanBasis(m, graph.vertex_count, graph.edges)
-            evidence[ell] = _witness(graph.edges, basis, ell)
-    return g, evidence
+            continue
+        u = b // g * pow(a // g, -1, m // g) % (m // g)
+        w = [u * v % m for v in x]
+        if u and not _edge_sums_hit(graph.edges, w, m, b):
+            raise InternalConsistencyError(
+                f"order {ell} witness over Z_{m} fails edge-sum verification"
+            )
+        evidence[ell] = Coloring(m, w[1:])
+    return evidence
 
 
-def _index_generator(
-    graph: Hypergraph, modulus: int
-) -> tuple[int, Optional[_SpanBasis]]:
-    """The g with B x = b * 1 solvable over Z_q exactly for the multiples b
-    of g, for the incidence B of a connected graph; the index is q/g.
+def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
+    """(a, x) with B x = a * 1 over Z_q on every edge of a connected
+    graph, where b * 1 is in the span of the incidence B exactly for the
+    multiples b of g = gcd(a, q); the index is q/g. x[0] is a zero slot.
 
     An all-ones `express` walk on the incidence of an edge sample S gives
     B_S x = a * 1. When every edge of the graph sums to a under x, g is
@@ -153,21 +160,15 @@ def _index_generator(
     gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
     every edge when k < 4n. When the pass fails, the first violated edges
     join S, at most |S| of them, and the walk runs again.
-
-    When S is every edge in canonical order, the walk's basis is the span
-    basis of the whole incidence and is returned with g for the witnesses;
-    otherwise None is.
     """
     q = modulus
     edges = graph.edges
     n = graph.vertex_count
-    step = max(1, len(edges) // (2 * n))
-    sample = list(edges[::step])
+    sample = list(edges[:: max(1, len(edges) // (2 * n))])
     while True:
-        basis = _SpanBasis(q, n, sample)
-        a, x = basis.express(repeat(1))
+        a, x = _SpanBasis(q, n, sample).express(repeat(1))
         if _edge_sums_hit(edges, x, q, a):
-            return gcd(a, q), basis if step == 1 else None
+            return a, x
         size = len(sample)
         if size < len(edges):
             get = x.__getitem__
@@ -177,21 +178,3 @@ def _index_generator(
             raise InternalConsistencyError(
                 f"all-ones walk over Z_{q} fails edge-sum verification"
             )
-
-
-def _witness(edges, basis: _SpanBasis, symmetry_order: int) -> Coloring:
-    """The `express` solution of B x = (q/l) * 1 over Z_q, for an order
-    l > 1 that `_index_generator` has marked solvable, checked by edge
-    sums."""
-    q = basis.modulus
-    a, x = basis.express(repeat(q // symmetry_order))
-    if a != 1:
-        raise InternalConsistencyError(
-            f"order {symmetry_order} over Z_{q} is in the generator's ideal "
-            "but has no solution"
-        )
-    if not _edge_sums_hit(edges, x, q, q // symmetry_order):
-        raise InternalConsistencyError(
-            f"order {symmetry_order} witness over Z_{q} fails edge-sum verification"
-        )
-    return Coloring(q, x[1:])

@@ -377,9 +377,9 @@ def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
 
     One span basis of the incidence B over Z_q, one `express` call per
     divisor, each witness checked by edge sums and the report checked for
-    divisor closure; `cyclic_index`, which takes g from a sampled walk
-    and then walks only for the solvable divisors, must give the same
-    report when q is the uniformity.
+    divisor closure; `cyclic_index`, which scales one sampled all-ones
+    walk's solution for every solvable divisor, must give the same
+    verdicts when q is the uniformity, though its witnesses may differ.
     """
     q = modulus
     basis = _SpanBasis(q, graph.vertex_count, graph.edges)

@@ -523,7 +523,7 @@ def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, 
 
 
 # stdout and exit code of each command on the (6,6,4) family and its s=2
-# power; the witness colorings pin the span basis's pivot choices
+# power; the witness colorings pin the all-ones walk's pivot choices
 GOLDEN_FAMILY_OUTPUT = [
     ("family", ["analyze"], 0, (
         "uniform 4\n"
@@ -557,7 +557,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 32\n"
         "edges 420\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 4 0 4 0 4 0 4 0 4 0 4 0 6 2 4 2 4 2 4\n"
+        "l = 2: solvable, coloring = 0 4 4 0 0 4 0 4 0 4 0 4 4 4 0 0 0 0 0 0 0 0 0 0 0 2 6 4 0 2 2 0\n"
         "l = 4: unsolvable\n"
         "l = 8: unsolvable\n"
         "cyclic_index = 2\n"

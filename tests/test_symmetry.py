@@ -26,7 +26,9 @@ from hypersym import (
     verify_coloring,
 )
 from hypersym.modular import _SpanBasis
-from hypersym.symmetry import _index_generator, _witness
+from hypersym.cli import main
+from hypersym.fileio import write_hypergraph
+from hypersym.symmetry import _index_generator
 
 from helpers import (
     enumeration_symmetric,
@@ -68,6 +70,17 @@ def test_witness_square_cycle():
 def test_triangle_has_no_order2_witness():
     assert enumeration_symmetric(cycle(3), 2) is False
     assert is_l_symmetric(cycle(3), 2) is None
+
+
+def test_order_one_needs_no_walk(monkeypatch):
+    def refused(graph, modulus):
+        raise AssertionError("order 1 walked")
+
+    monkeypatch.setattr(hypersym.symmetry, "_index_generator", refused)
+    graph = nikiforov(NikiforovParams(1, 6, 6, 4))
+    assert is_l_symmetric(graph, 1) == Coloring(4, [0] * 16)
+    with pytest.raises(DisconnectedError):
+        is_l_symmetric(build_hypergraph(2, 4, [[1, 2], [3, 4]]), 1)
 
 
 def test_disconnected_refused():
@@ -175,9 +188,33 @@ def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
     a, _ = basis.express([1] * graph.edge_count)
     assert gcd(a, q) == q // oracle.cyclic_index
     if q == t:
-        assert cyclic_index(graph) == oracle
-        for ell, witness in oracle.divisor_evidence.items():
-            assert is_l_symmetric(graph, ell) == witness
+        _assert_verdicts_match_oracle(graph)
+
+
+def _assert_verdicts_match_oracle(graph):
+    """`cyclic_index` and `is_l_symmetric` decide every order as the
+    per-divisor oracle does, agree on each witness, and each verifies."""
+    oracle = per_divisor_report(graph, graph.uniformity)
+    report = cyclic_index(graph)
+    assert report.cyclic_index == oracle.cyclic_index
+    assert report.divisor_evidence.keys() == oracle.divisor_evidence.keys()
+    for ell, witness in report.divisor_evidence.items():
+        assert (witness is None) == (oracle.divisor_evidence[ell] is None)
+        assert is_l_symmetric(graph, ell) == witness
+        if witness is not None:
+            assert verify_coloring(graph, witness, ell)
+
+
+def test_walk_witness_may_differ_from_the_per_divisor_witness():
+    # the l = 2 witness is 2 times the walk's x, not the oracle's own
+    # solution of B x = 2 * 1; both verify
+    rows = "1237 2456 2468 2578 2689 3459 3467 5689".split()
+    graph = build_hypergraph(4, 9, [[int(v) for v in row] for row in rows])
+    _assert_verdicts_match_oracle(graph)
+    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 0, 2, 2, 0, 0, 2, 0, 2))
+    assert per_divisor_report(graph, 4).divisor_evidence[2] == Coloring(
+        4, (2, 0, 2, 0, 0, 2, 2, 0, 0)
+    )
 
 
 def test_all_ones_walk_self_check_raises(monkeypatch):
@@ -188,26 +225,29 @@ def test_all_ones_walk_self_check_raises(monkeypatch):
         cyclic_index(cycle(4))
 
 
-def test_witness_refuses_an_order_outside_the_generators_ideal():
-    # B x = 1 has no solution over Z_2 on an odd cycle
-    c3 = cycle(3)
-    g, basis = _index_generator(c3, 2)
-    assert g == 2
-    with pytest.raises(
-        InternalConsistencyError,
-        match=r"^order 2 over Z_2 is in the generator's ideal but has no solution$",
-    ):
-        _witness(c3.edges, basis, 2)
+def test_witness_self_check_raises(monkeypatch, tmp_path, capsys):
+    # a = 1 with x = 0 claims B x = 1, so the order 2 witness 1 * x sums
+    # to 0, not 1, on every edge of C4
+    monkeypatch.setattr(hypersym.symmetry, "_index_generator", lambda graph, q: (1, [0] * 5))
+    message = "order 2 witness over Z_2 fails edge-sum verification"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        cyclic_index(cycle(4))
+    target = tmp_path / "c4.hg"
+    write_hypergraph(cycle(4), target)
+    assert main(["analyze", str(target)]) == 7
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_witness_self_check_raises(monkeypatch):
-    c4 = cycle(4)
-    _, basis = _index_generator(c4, 2)
-    monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
-    with pytest.raises(
-        InternalConsistencyError, match=r"^order 2 witness over Z_2 fails edge-sum verification$"
-    ):
-        _witness(c4.edges, basis, 2)
+def test_witnesses_scale_any_proved_walk(monkeypatch):
+    # B x = 5 * 1 over Z_6 on one 6-uniform edge: each order's witness is
+    # u * x with u * 5 = 6/l (mod 6), where 5 is its own inverse
+    proved = (5, [0, 5, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(hypersym.symmetry, "_index_generator", lambda graph, q: proved)
+    report = cyclic_index(single_edge(6))
+    assert report.cyclic_index == 6
+    assert {ell: w.values[0] for ell, w in report.divisor_evidence.items()} == {
+        1: 0, 2: 3, 3: 2, 6: 1
+    }
 
 
 def _dense_connected(rng, t):
@@ -249,23 +289,19 @@ def _planted_connected(rng, t):
 def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
     graph = (_planted_connected if planted else _dense_connected)(rng, t)
     q = factor * t
-    g, basis = _index_generator(graph, q)
-    assert g == q // per_divisor_report(graph, q).cyclic_index
-    assert basis is None
+    a, _ = _index_generator(graph, q)
+    assert gcd(a, q) == q // per_divisor_report(graph, q).cyclic_index
     if planted:
-        # the witnesses come from the whole-incidence basis built apart
-        # from the walk's
-        report = per_divisor_report(graph, t)
-        assert report.cyclic_index > 1
-        assert cyclic_index(graph) == report
-        for ell, witness in report.divisor_evidence.items():
-            assert is_l_symmetric(graph, ell) == witness
+        # the witnesses of the orders above 1 scale the sampled walk's x
+        assert per_divisor_report(graph, t).cyclic_index > 1
+        _assert_verdicts_match_oracle(graph)
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
     # with nikiforov's own labels the walk on the first 65-edge sample of
     # the (12,12,8) family fails the edge-sum pass over Z_8; 65 violated
-    # edges join the sample, and the second walk passes
+    # edges join the sample, and the second walk passes. Every witness
+    # scales that walk's x, so no basis of all 8,976 edges is built
     graph = nikiforov(NikiforovParams(1, 12, 12, 8))
     built = []
 
@@ -274,8 +310,7 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
         return _SpanBasis(modulus, width, rows)
 
     monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
-    g, basis = _index_generator(graph, 8)
+    report = cyclic_index(graph)
     assert built == [65, 130]
-    assert basis is None
     monkeypatch.undo()
-    assert g == 8 // per_divisor_report(graph, 8).cyclic_index
+    assert report.cyclic_index == per_divisor_report(graph, 8).cyclic_index
