@@ -7,8 +7,8 @@ hypergraphs have equal representations.
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter, lt
+from itertools import compress, islice
+from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -61,15 +61,20 @@ def _build(
     a vertex and every vertex is in range, then strict increase of the
     edge list, so no edge repeats. A list they reject is replayed in the
     given order through `_build_per_edge`, which raises the error of the
-    first faulty edge. Nothing loops over a header value.
+    first faulty edge. When only the order check fails, the fault is a
+    repeat, and the replay remembers only the edges equal to their
+    successor in sorted order. Nothing loops over a header value.
     """
+    repeated = None
     if 2 <= uniformity <= vertex_count and _vertices_pass(uniformity, vertex_count, rows):
         # the list order is checked on a sorted copy, so that a replay
         # reads the edges in the given order
         ordered = rows if _increasing(rows) else sorted(rows)
         if ordered is rows or _increasing(ordered):
             return Hypergraph(uniformity, vertex_count, tuple(ordered))
-    _build_per_edge(uniformity, vertex_count, rows)
+        repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+        del ordered
+    _build_per_edge(uniformity, vertex_count, rows, repeated)
     raise InternalConsistencyError(
         "whole-list edge checks rejected edges the per-edge rules accept"
     )
@@ -115,11 +120,13 @@ def _increasing_slots(rows: list[tuple[int, ...]], width: int) -> bool:
 
 
 def _build_per_edge(
-    uniformity: int, vertex_count: int, edges: Iterable[Sequence[int]]
+    uniformity: int, vertex_count: int, edges: Iterable[Sequence[int]], repeated=None
 ) -> Hypergraph:
     """`build_hypergraph` one edge at a time; the only place its errors
     are written. Each edge is checked as it is drawn from `edges`, and an
-    error carries the edge's 0-based position as `index`."""
+    error carries the edge's 0-based position as `index`. Given the set
+    `repeated` of the only edges that repeat, it remembers just those,
+    and it can then only raise."""
     if uniformity < 2:
         raise ParameterError(f"uniformity must be >= 2, got {uniformity}")
     if vertex_count < uniformity:
@@ -142,8 +149,9 @@ def _build_per_edge(
             )
         if edge in seen:
             raise DuplicateEdgeError(f"edge {set(edge)} appears more than once", index)
-        # a sorted tuple as given is kept, so the edges are not held twice
-        seen.add(raw if edge == raw else edge)
+        if repeated is None or edge in repeated:
+            # a sorted tuple as given is kept, so the edges are not held twice
+            seen.add(raw if edge == raw else edge)
     return Hypergraph(uniformity, vertex_count, tuple(sorted(seen)))
 
 

@@ -7,7 +7,6 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -103,10 +102,6 @@ def _unit_for(a: int, m: int) -> int:
     raise InternalConsistencyError(f"no unit lift for {a} mod {m}")
 
 
-# Maps the binary digits "0"/"1" to the bytes 0/1, selectors for `compress`.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 class _SpanBasis:
     """Echelonized generating set for the column span of a k x n integer
     matrix A over Z_m.
@@ -135,13 +130,9 @@ class _SpanBasis:
     built: `terms[pos]` maps c to its terms; a 0/1 row gathers its
     coefficients with one `itemgetter`, a weighted row multiplies each
     coefficient by its weight, so an entry a costs one product, not a
-    copies of a column. A column's mask is a k-bit integer whose binary
-    digit `pos` of `format(mask, f"0{k}b")` is 1 exactly when row `pos`
-    lists the column. `classes[j]` is the class of column j, (mask,
-    column indices): equal 0/1 columns, those with the same mask, share
-    one class, and with `weights` every column is its own class. Slot 0
-    has none. Each unplaced row caches its first nonzero position and the
-    entry there; the reduction jumps to the smallest cached position and
+    copies of a column. Each unplaced row caches its first nonzero
+    position and the entry there, found by evaluating the positions in
+    order; the reduction jumps to the smallest cached position and
     rescans only the rows it changed. Each pivot keeps its coefficient
     vector, so reducing a target to zero also yields a solution x with
     A x = target.
@@ -158,24 +149,13 @@ class _SpanBasis:
         self.modulus = m
         self.width = width
         k = len(rows)
-        flags = [bytearray(b"0" * k) for _ in range(width + 1)]
-        for pos, cols in enumerate(rows):
-            for j in cols:
-                flags[j][pos] = 49  # ord("1")
-        masks = [int(f, 2) for f in flags]
         if weights is None:
             self.terms = [itemgetter(*cols) for cols in rows]
-            keys: Sequence[int] = masks
         else:
             self.terms = [
                 lambda coef, cols=cols, ws=ws: map(mul, ws, map(coef.__getitem__, cols))
                 for cols, ws in zip(rows, weights)
             ]
-            keys = range(width + 1)
-        classes: dict = {}
-        for j in range(1, width + 1):
-            classes.setdefault(keys[j], (masks[j], []))[1].append(j)
-        self.classes = [None, *(classes[keys[j]] for j in range(1, width + 1))]
         # Working rows [next nonzero position, entry there, coefficients];
         # unplaced rows are zero at every position already passed, and a
         # row that is zero everywhere keeps position k and its slot, since
@@ -227,40 +207,22 @@ class _SpanBasis:
 
     def _scan(self, coef: list[int], start: int) -> tuple[int, int]:
         """First position >= start where A coef is nonzero, with its entry;
-        (k, 0) when there is none.
-
-        Equal columns contribute their coefficient sum times their
-        common column, so A coef can be nonzero only where a class of
-        equal columns with a nonzero sum mod m is. Only the positions in
-        the union of those classes' masks are evaluated, in order: a
-        kernel row such as the difference of two twin columns costs
-        nothing.
-        """
+        (k, 0) when there is none. The positions are evaluated in order,
+        for 0/1 and weighted rows alike."""
         m = self.modulus
         terms = self.terms
-        k = len(terms)
-        get = coef.__getitem__
-        met = 0
-        # `compress` yields the class of each column with a nonzero
-        # coefficient, so every class with a nonzero sum; a repeat ORs again
-        for mask, js in compress(self.classes, coef):
-            if sum(map(get, js)) % m:
-                met |= mask
-        if not met:
-            return k, 0
-        flags = format(met, f"0{k}b").encode().translate(_BIT_FLAGS)
-        for pos in compress(range(start, k), flags[start:]):
+        for pos in range(start, len(terms)):
             value = sum(terms[pos](coef)) % m
             if value:
                 return pos, value
-        return k, 0
+        return len(terms), 0
 
     def express(self, target: Iterable[int]) -> tuple[int, list[int]]:
         """(a, x) with A x = a * target (mod m); x[0] is the zero slot.
 
-        a = 1 exactly when the target is in the column span, and in any
-        case gcd(a, m) = g, where the b with b * target in the span are
-        exactly the multiples of g.
+        The b with b * target in the span are exactly the multiples of
+        g, a divisor of m, and a is g itself, or 0 when g = m: a = 1
+        exactly when the target is in the column span.
 
         One walk over the positions: the residual at `pos` is
         a * target[pos] - (A x)[pos] for the current a and x, and a pivot
@@ -269,10 +231,11 @@ class _SpanBasis:
         there is none) does not divide, a and x are first multiplied by
         u = p / gcd(r, p), the least factor that makes u * r a multiple
         of p. The basis is annihilator-closed, so a vector of the span
-        that is zero before `pos` has its entry there in p * Z_m. For
-        b = c * a with b * target in the span, c times the residual is
-        such a vector, so u divides c: each factor is forced, and the
-        final a generates the ideal of all such b. A target in the span
+        that is zero before `pos` has its entry there in p * Z_m. As a
+        starts at 1 and divides g, c = g / a times the residual is such a
+        vector, so u divides c and a * u still divides g: it never wraps
+        mod m, except to 0 when a * u = m = g. So each factor is forced,
+        and the final a is g, the generator of the ideal. A target in the span
         gives a residual in the span, so it is never scaled.
         """
         m = self.modulus

@@ -118,10 +118,11 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
     mapped to its witness or None.
 
     Every witness is u * x for the proved B x = a * 1 of
-    `_index_generator`: a u with u * a = m/l (mod m) exists exactly when
-    g = gcd(a, m) divides m/l, and then B (u x) = (m/l) * 1. Order 1 has
+    `_index_generator`, whose a is g = gcd(a, m), or 0 when g = m: order
+    l is solvable exactly when g divides m/l, and then u = (m/l)/g mod
+    m/g gives u * a = m/l (mod m) and B (u x) = (m/l) * 1. Order 1 has
     u = 0, so when no order above 1 is asked for there is no walk: x = 0
-    and a = m prove as much. Each witness with u != 0 is checked by edge
+    and a = 0 prove as much. Each witness with u != 0 is checked by edge
     sums.
     """
     if not is_connected(graph):
@@ -130,7 +131,7 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
     if max(orders) > 1:
         a, x = _index_generator(graph, m)
     else:
-        a, x = m, [0] * (graph.vertex_count + 1)
+        a, x = 0, [0] * (graph.vertex_count + 1)
     g = gcd(a, m)
     evidence: dict[int, Optional[Coloring]] = {}
     for ell in orders:
@@ -138,7 +139,7 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
         if b % g:
             evidence[ell] = None
             continue
-        u = b // g * pow(a // g, -1, m // g) % (m // g)
+        u = b // g % (m // g)
         w = [u * v % m for v in x]
         if u and not _edge_sums_hit(graph.edges, w, m, b):
             raise InternalConsistencyError(
@@ -151,7 +152,8 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
 def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
     """(a, x) with B x = a * 1 over Z_q on every edge of a connected
     graph, where b * 1 is in the span of the incidence B exactly for the
-    multiples b of g = gcd(a, q); the index is q/g. x[0] is a zero slot.
+    multiples b of g = gcd(a, q), and a is g, or 0 when g = q, as
+    `express` gives it; the index is q/g. x[0] is a zero slot.
 
     An all-ones `express` walk on the incidence of an edge sample S gives
     B_S x = a * 1. When every edge of the graph sums to a under x, g is

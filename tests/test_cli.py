@@ -611,6 +611,57 @@ def test_family_output_is_pinned(tmp_path, capsys, graph, command, code, stdout)
     assert (captured.out, captured.err) == (stdout, "")
 
 
+# `analyze` on two blow-ups whose blocks are twin vertices: the s=3 power
+# of K6 has its basis built on every edge, the s=4 power of K40 (780 >= 4n
+# edges) on a sample; the witnesses pin the all-ones walk's pivot choices
+GOLDEN_TWIN_POWER_OUTPUT = {
+    (6, 3): (
+        "uniform 6\n"
+        "vertices 18\n"
+        "edges 15\n"
+        "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+        "l = 2: unsolvable\n"
+        "l = 3: solvable, coloring = 0 0 4 2 0 2 2 0 2 2 0 2 2 0 2 2 0 2\n"
+        "l = 6: unsolvable\n"
+        "cyclic_index = 3\n"
+    ),
+    (40, 4): (
+        "uniform 8\n"
+        "vertices 160\n"
+        "edges 780\n"
+        "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 6 0 0 4 6 "
+        "0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 "
+        "0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 "
+        "2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 "
+        "0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4\n"
+        "l = 4: solvable, coloring = 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 3 0 0 2 3 "
+        "0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 "
+        "0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 "
+        "5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 "
+        "0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2\n"
+        "l = 8: unsolvable\n"
+        "cyclic_index = 4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n,s", list(GOLDEN_TWIN_POWER_OUTPUT), ids=["complete6-s3", "complete40-s4"]
+)
+def test_twin_power_output_is_pinned(tmp_path, capsys, n, s):
+    base, power = tmp_path / "k.hg", tmp_path / "p.hg"
+    assert main(["gen", "complete", str(n), "-o", str(base)]) == 0
+    assert main(["power", str(base), "--s", str(s), "-o", str(power)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(power)]) == 0
+    assert capsys.readouterr() == (GOLDEN_TWIN_POWER_OUTPUT[n, s], "")
+
+
 def test_memory_error_exits_5_on_one_line(c4_file, monkeypatch, capsys):
     def exhausted(graph):
         raise MemoryError

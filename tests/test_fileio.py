@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,12 @@ from hypersym import (
     Hypergraph,
     HypergraphError,
     InternalConsistencyError,
+    NikiforovParams,
     ParameterError,
     build_hypergraph,
     cycle,
     generalized_power,
+    nikiforov,
     single_edge,
 )
 from hypersym.fileio import (
@@ -278,3 +282,33 @@ def test_an_edge_list_rejection_the_per_edge_rules_accept_raises(monkeypatch):
         match=r"^whole-list edge checks rejected edges the per-edge rules accept$",
     ):
         parse_hypergraph("uniform 2\nvertices 3\n1 2\n2 3\n")
+
+
+def test_the_first_repeat_in_file_order_wins():
+    # {3, 4} repeats on line 6, before {1, 2} does, though {1, 2} sorts first
+    text = "uniform 2\nvertices 4\n1 2\n3 4\n2 3\n4 3\n2 1\n"
+    with pytest.raises(FileFormatError, match=r"^line 6: edge \{3, 4\} appears more than once$"):
+        parse_hypergraph(text)
+
+
+def _traced_peak(text):
+    """Peak traced allocation of parsing `text`, whether or not it parses."""
+    tracemalloc.start()
+    try:
+        parse_hypergraph(text)
+    except FileFormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_repeated_last_edge_costs_the_reader_no_extra_memory():
+    # the replay of a list that only repeats edges remembers the repeated
+    # edges alone, not every edge it has read
+    text = format_hypergraph(nikiforov(NikiforovParams(1, 12, 12, 8)))
+    faulty = text + text.splitlines()[-1] + "\n"
+    with pytest.raises(FileFormatError, match=r"^line 8979: edge \{.*\} appears more than once$"):
+        parse_hypergraph(faulty)
+    assert _traced_peak(faulty) <= 1.1 * _traced_peak(text)

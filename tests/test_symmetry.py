@@ -238,16 +238,31 @@ def test_witness_self_check_raises(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_witnesses_scale_any_proved_walk(monkeypatch):
-    # B x = 5 * 1 over Z_6 on one 6-uniform edge: each order's witness is
-    # u * x with u * 5 = 6/l (mod 6), where 5 is its own inverse
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.integers(2, 36))
+def test_the_all_ones_walk_returns_its_generator(data, q):
+    # a is g = gcd(a, q) itself, or 0 when g = q, not just a multiple of g
+    n = data.draw(st.integers(2, 7))
+    t = data.draw(st.integers(2, n))
+    pool = list(itertools.combinations(range(1, n + 1), t))
+    edges = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    a, x = _SpanBasis(q, n, edges).express(itertools.repeat(1))
+    assert a % q == gcd(a, q) % q
+    assert all(sum(x[v] for v in e) % q == a for e in edges)
+
+
+def test_a_walk_whose_a_is_not_g_fails_the_witness_check(monkeypatch, tmp_path, capsys):
+    # B x = 5 * 1 over Z_6 on one 6-uniform edge, with g = gcd(5, 6) = 1:
+    # the order 3 witness (2/g) * x sums to 4, not 2
     proved = (5, [0, 5, 0, 0, 0, 0, 0])
     monkeypatch.setattr(hypersym.symmetry, "_index_generator", lambda graph, q: proved)
-    report = cyclic_index(single_edge(6))
-    assert report.cyclic_index == 6
-    assert {ell: w.values[0] for ell, w in report.divisor_evidence.items()} == {
-        1: 0, 2: 3, 3: 2, 6: 1
-    }
+    message = "order 3 witness over Z_6 fails edge-sum verification"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        cyclic_index(single_edge(6))
+    target = tmp_path / "e6.hg"
+    write_hypergraph(single_edge(6), target)
+    assert main(["analyze", str(target)]) == 7
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _dense_connected(rng, t):
