@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success (or equality holding),
-10 conjecture violated on this instance (a finding, not an error),
+10 conjecture fails on this instance (a finding, not an error),
 2 a file could not be read, parsed or written, 3 disconnected input,
 4 bad parameter, 5 enumeration budget exceeded or memory exhausted,
 6 power iteration did not converge, 7 internal consistency check failed
@@ -81,16 +81,7 @@ def cmd_power(args) -> int:
         raise DisconnectedError("power requires every vertex to lie in an edge")
     m = args.m if args.m is not None else args.s * graph.uniformity
     power, layout = generalized_power(graph, m, args.s)
-    fileio.write_hypergraph(power, args.output)
-    layout_path = f"{args.output}.layout"
-    try:
-        fileio.write_layout(layout, layout_path)
-    except OSError:
-        os.remove(args.output)  # no half of the output pair is left
-        raise
-    print(f"wrote {args.output} ({power.vertex_count} vertices, "
-          f"{power.edge_count} edges, uniform {power.uniformity})")
-    print(f"wrote {layout_path}")
+    _write(power, args.output, ".layout", lambda path: fileio.write_layout(layout, path))
     shortcut = power_cyclic_index_shortcut(graph, m, args.s)
     if shortcut is not None:
         print(f"cyclic_index = {shortcut} (m > st)")
@@ -100,13 +91,8 @@ def cmd_power(args) -> int:
 def cmd_conjecture(args) -> int:
     graph = fileio.read_hypergraph(args.path)
     report = conjecture_check(graph, args.s)
-    print(f"base_cyclic_index = {report.base_cyclic_index}")
-    print(f"power_cyclic_index = {report.power_cyclic_index}")
-    print(f"product = {report.product}")
-    print(f"equality = {'true' if report.equality else 'false'}")
-    print("characterization_solvable = "
-          + ("true" if report.characterization_solvable else "false"))
-    print(f"guaranteed_symmetry = {report.guaranteed_symmetry}")
+    for name, value in report._asdict().items():
+        print(f"{name} = {str(value).lower()}")  # bools as true/false
     if report.equality:
         print(f"c(power) = {report.power_cyclic_index} = s*c(base)")
         return EXIT_OK
@@ -122,25 +108,31 @@ def cmd_nikiforov(args) -> int:
         raise ParameterError(f"--sizes wants 'a,b,c', got {args.sizes!r}")
     params = NikiforovParams(args.k, a, b, c)
     graph = nikiforov(params, budget=args.budget)
-    fileio.write_hypergraph(graph, args.output)
-    coloring_path = f"{args.output}.coloring"
-    try:
-        fileio.write_coloring(nikiforov_coloring(params), coloring_path)
-    except OSError:
-        os.remove(args.output)  # no half of the output pair is left
-        raise
-    print(f"wrote {args.output} ({graph.vertex_count} vertices, "
-          f"{graph.edge_count} edges, uniform {graph.uniformity})")
-    print(f"wrote {coloring_path}")
+    _write(graph, args.output, ".coloring",
+           lambda path: fileio.write_coloring(nikiforov_coloring(params), path))
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
     graph = stock(args.kind, args.size)
-    fileio.write_hypergraph(graph, args.output)
-    print(f"wrote {args.output} ({graph.vertex_count} vertices, "
-          f"{graph.edge_count} edges, uniform {graph.uniformity})")
+    _write(graph, args.output)
     return EXIT_OK
+
+
+def _write(graph, path, suffix=None, write_companion=None) -> None:
+    """Write `graph`, then `write_companion` to path + suffix, and print a
+    `wrote` line each; a failed companion removes the graph file too."""
+    fileio.write_hypergraph(graph, path)
+    if suffix is not None:
+        try:
+            write_companion(path + suffix)
+        except OSError:
+            os.remove(path)
+            raise
+    print(f"wrote {path} ({graph.vertex_count} vertices, "
+          f"{graph.edge_count} edges, uniform {graph.uniformity})")
+    if suffix is not None:
+        print(f"wrote {path + suffix}")
 
 
 def cmd_rho(args) -> int:

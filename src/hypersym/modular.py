@@ -132,10 +132,11 @@ class _SpanBasis:
     coefficient by its weight, so an entry a costs one product, not a
     copies of a column. Each unplaced row caches its first nonzero
     position and the entry there, found by evaluating the positions in
-    order; the reduction jumps to the smallest cached position and
-    rescans only the rows it changed. Each pivot keeps its coefficient
-    vector, so reducing a target to zero also yields a solution x with
-    A x = target.
+    order. One `min` takes as pivot the row with the smallest cached
+    position, then the least gcd of its entry with m, then the lowest
+    slot; the reduction rescans only the rows it changed. Each pivot
+    keeps its coefficient vector, so reducing a target to zero also
+    yields a solution x with A x = target.
     """
 
     def __init__(
@@ -168,12 +169,10 @@ class _SpanBasis:
         placed = 0
         self.pivots: dict[int, tuple[int, list[int]]] = {}
         while placed < len(work):
-            pos = min(row[0] for row in work[placed:])
+            best = min(range(placed, len(work)), key=lambda i: (work[i][0], gcd(work[i][1], m), i))
+            pos = work[best][0]
             if pos == k:
                 break
-            cand = [i for i in range(placed, len(work)) if work[i][0] == pos]
-            # Pivot choice: minimal gcd with m, ties to the lowest row.
-            best = min(cand, key=lambda i: (gcd(work[i][1], m), i))
             work[placed], work[best] = work[best], work[placed]
             _, a, pcoef = work[placed]
             for i in range(placed + 1, len(work)):

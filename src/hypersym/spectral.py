@@ -175,8 +175,8 @@ def verify_similarity(
     measures, on every nonzero tensor entry, how far
     exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
     lands from 1. A valid coloring makes the diagonal similarity exact,
-    so the maximum deviation is numerically zero; any violated edge shows
-    up as a deviation bounded away from zero.
+    so the maximum deviation is numerically zero; any edge whose colors
+    miss m/l shows up as a deviation bounded away from zero.
 
     An entry depends on its edge only through the product of the edge's
     phases, taken in member order, and the color of its leading vertex.

@@ -82,14 +82,15 @@ def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) 
     """True iff every edge's color sum is m/l mod m."""
     m = _check_order(graph, symmetry_order, coloring)
     # edges are 1-based; a leading 0 puts vertex v's color at index v
-    return _edge_sums_hit(graph.edges, (0, *coloring.values), m, m // symmetry_order)
+    return not any(_misses(graph.edges, (0, *coloring.values), m, m // symmetry_order))
 
 
-def _edge_sums_hit(rows, values, modulus: int, target: int) -> bool:
-    """True iff the values indexed by each row sum to `target` mod `modulus`."""
+def _misses(rows, values, modulus: int, target: int):
+    """The rows whose values sum to other than `target` mod `modulus`, in
+    order and lazily. Rows are nonempty tuples, so `any` finds a miss."""
     target %= modulus
     get = values.__getitem__
-    return all(sum(map(get, row)) % modulus == target for row in rows)
+    return (row for row in rows if sum(map(get, row)) % modulus != target)
 
 
 def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]:
@@ -141,7 +142,7 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
             continue
         u = b // g % (m // g)
         w = [u * v % m for v in x]
-        if u and not _edge_sums_hit(graph.edges, w, m, b):
+        if u and any(_misses(graph.edges, w, m, b)):
             raise InternalConsistencyError(
                 f"order {ell} witness over Z_{m} fails edge-sum verification"
             )
@@ -160,8 +161,9 @@ def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
     gcd(a, q): the ideal of the graph lies in that of S, so g_S divides
     g, and B x = a * 1 puts a in the graph's ideal, so g divides
     gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
-    every edge when k < 4n. When the pass fails, the first violated edges
-    join S, at most |S| of them, and the walk runs again.
+    every edge when k < 4n. The pass reads the edges once and stops
+    after |S| misses: none proves the walk, otherwise the missed edges
+    join S and the walk runs again.
     """
     q = modulus
     edges = graph.edges
@@ -169,14 +171,11 @@ def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
     sample = list(edges[:: max(1, len(edges) // (2 * n))])
     while True:
         a, x = _SpanBasis(q, n, sample).express(repeat(1))
-        if _edge_sums_hit(edges, x, q, a):
+        missed = list(islice(_misses(edges, x, q, a), len(sample)))
+        if not missed:
             return a, x
-        size = len(sample)
-        if size < len(edges):
-            get = x.__getitem__
-            violated = (e for e in edges if sum(map(get, e)) % q != a)
-            sample.extend(islice(violated, size))
-        if len(sample) == size:
+        if len(sample) >= len(edges):
             raise InternalConsistencyError(
                 f"all-ones walk over Z_{q} fails edge-sum verification"
             )
+        sample += missed

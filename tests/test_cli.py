@@ -76,6 +76,9 @@ def test_power_writes_power_and_layout(tmp_path, capsys):
     write_hypergraph(cycle(3), source)
     out = tmp_path / "c3p.hg"
     assert main(["power", str(source), "--s", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr() == (
+        f"wrote {out} (6 vertices, 3 edges, uniform 4)\nwrote {out}.layout\n", ""
+    )
     power = read_hypergraph(out)
     assert power.uniformity == 4
     assert power.vertex_count == 6
@@ -89,7 +92,12 @@ def test_power_with_padding_notes_shortcut(tmp_path, capsys):
     out = tmp_path / "c3p5.hg"
     code = main(["power", str(source), "--s", "2", "--m", "5", "-o", str(out)])
     assert code == 0
-    assert "cyclic_index = 5 (m > st)" in capsys.readouterr().out
+    assert capsys.readouterr() == (
+        f"wrote {out} (9 vertices, 3 edges, uniform 5)\n"
+        f"wrote {out}.layout\n"
+        "cyclic_index = 5 (m > st)\n",
+        "",
+    )
 
 
 def test_power_rejects_bad_blowup(c4_file, tmp_path):
@@ -121,6 +129,9 @@ def test_nikiforov_generator(tmp_path, capsys):
     out = tmp_path / "nik.hg"
     code = main(["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(out)])
     assert code == 0
+    assert capsys.readouterr() == (
+        f"wrote {out} (16 vertices, 420 edges, uniform 4)\nwrote {out}.coloring\n", ""
+    )
     graph = read_hypergraph(out)
     assert graph.edge_count == 420
     coloring_path = tmp_path / "nik.hg.coloring"
@@ -180,9 +191,10 @@ def test_nikiforov_far_over_the_budget_writes_nothing(tmp_path, capsys, k, sizes
     assert list(tmp_path.iterdir()) == []
 
 
-def test_gen_cycle(tmp_path):
+def test_gen_cycle(tmp_path, capsys):
     out = tmp_path / "c4.hg"
     assert main(["gen", "cycle", "4", "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out} (4 vertices, 4 edges, uniform 2)\n", "")
     assert read_hypergraph(out) == cycle(4)
 
 
@@ -523,7 +535,10 @@ def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, 
 
 
 # stdout and exit code of each command on the (6,6,4) family and its s=2
-# power; the witness colorings pin the all-ones walk's pivot choices
+# power, and on the (12,12,8) family; the witness colorings pin the
+# all-ones walk's pivot choices. With `nikiforov`'s own labels the
+# (12,12,8) walks over Z_4, Z_8 and Z_12 each grow their 65-edge sample
+# to 130 edges once, so those lines pin the sample growth too
 GOLDEN_FAMILY_OUTPUT = [
     ("family", ["analyze"], 0, (
         "uniform 4\n"
@@ -590,6 +605,33 @@ GOLDEN_FAMILY_OUTPUT = [
         "residual = 4.265e-09\n"
         "iterations = 19\n"
     )),
+    ("family12", ["analyze"], 0, (
+        "uniform 4\n"
+        "vertices 32\n"
+        "edges 8976\n"
+        "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 2 2 2 2 2 2 2 2 2 2 2 2 0 0 0 0 0 0 0 0 0 0 0 0 3 3 3 3 3 3 3 3\n"
+        "l = 4: unsolvable\n"
+        "cyclic_index = 2\n"
+    )),
+    ("family12", ["conjecture", "--s", "2"], 10, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 2\n"
+        "product = 4\n"
+        "equality = false\n"
+        "characterization_solvable = false\n"
+        "guaranteed_symmetry = 2\n"
+        "c(power) = 2 != 4 = s*c(base): conjecture fails here\n"
+    )),
+    ("family12", ["conjecture", "--s", "3"], 0, (
+        "base_cyclic_index = 2\n"
+        "power_cyclic_index = 6\n"
+        "product = 6\n"
+        "equality = true\n"
+        "characterization_solvable = true\n"
+        "guaranteed_symmetry = 6\n"
+        "c(power) = 6 = s*c(base)\n"
+    )),
 ]
 
 
@@ -600,7 +642,8 @@ GOLDEN_FAMILY_OUTPUT = [
 )
 def test_family_output_is_pinned(tmp_path, capsys, graph, command, code, stdout):
     family = tmp_path / "nik.hg"
-    assert main(["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", str(family)]) == 0
+    sizes = "12,12,8" if graph == "family12" else "6,6,4"
+    assert main(["nikiforov", "--k", "1", "--sizes", sizes, "-o", str(family)]) == 0
     target = family
     if graph == "power":
         target = tmp_path / "nik2.hg"

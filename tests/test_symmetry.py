@@ -218,7 +218,8 @@ def test_walk_witness_may_differ_from_the_per_divisor_witness():
 
 
 def test_all_ones_walk_self_check_raises(monkeypatch):
-    monkeypatch.setattr(hypersym.symmetry, "_edge_sums_hit", lambda *args: False)
+    # every edge misses, and the sample already holds every edge of C4
+    monkeypatch.setattr(hypersym.symmetry, "_misses", lambda rows, *args: iter(rows))
     with pytest.raises(
         InternalConsistencyError, match=r"^all-ones walk over Z_2 fails edge-sum verification$"
     ):
@@ -313,10 +314,11 @@ def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
-    # with nikiforov's own labels the walk on the first 65-edge sample of
-    # the (12,12,8) family fails the edge-sum pass over Z_8; 65 violated
-    # edges join the sample, and the second walk passes. Every witness
-    # scales that walk's x, so no basis of all 8,976 edges is built
+    # with nikiforov's own labels the walk over Z_4 on the first 65-edge
+    # sample of the 4-uniform (12,12,8) family fails the edge-sum pass;
+    # the first 65 edges that miss join the sample, and the second walk
+    # passes. Every witness scales that walk's x, so no basis of all
+    # 8,976 edges is built
     graph = nikiforov(NikiforovParams(1, 12, 12, 8))
     built = []
 
@@ -329,3 +331,32 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
     assert built == [65, 130]
     monkeypatch.undo()
     assert report.cyclic_index == per_divisor_report(graph, 8).cyclic_index
+
+
+class _CountedEdges(tuple):
+    """An edge tuple that counts the loops over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        _CountedEdges.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("q", [4, 8, 12])
+def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
+    # on this family every modulus needs a second round; a failed round
+    # collects the edges that miss from the same pass that finds them
+    graph = nikiforov(NikiforovParams(1, 12, 12, 8))
+    built = []
+
+    def counting(modulus, width, rows):
+        built.append(len(rows))
+        return _SpanBasis(modulus, width, rows)
+
+    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
+    monkeypatch.setattr(_CountedEdges, "reads", 0)
+    a, x = _index_generator(graph._replace(edges=_CountedEdges(graph.edges)), q)
+    assert built == [65, 130]
+    assert _CountedEdges.reads == len(built)
+    assert gcd(a, q) == q // per_divisor_report(graph, q).cyclic_index
