@@ -1,20 +1,25 @@
 """Adjacency-tensor numerics: spectral radius and similarity certificates.
 
 The adjacency tensor is never materialized (it has n^m entries). The
-power iteration contracts it with a float64 vector through one kernel:
-it gathers x slot by slot from the (k, m) array of 0-based edge members,
-builds each slot's product over the other members as whole-slot vector
-products, and sums them edge by edge with `np.bincount`. numpy is
-imported inside these functions. The similarity check needs only the m
-phases of Z_m and is plain Python, so no command but `rho` pays for
-loading numpy.
+power iteration starts from the all-ones vector, which is constant on
+the cells of any equitable partition, and each step keeps it so. So it
+keeps one float per cell of the partition that colour refinement
+reaches from the vertex degrees, and contracts the tensor through that
+partition's table of edge types (the sorted tuples of member cells),
+each with its edge count. The paper's three-class family and its
+blow-ups have 2 cells and 2 types; on an input without symmetry every
+cell is one vertex and the kernel is a loop over the edges. The
+similarity check needs only the m phases of Z_m. All of it is plain
+Python, so no command loads an array library.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import cos, isfinite, pi, sin
-from typing import TYPE_CHECKING, NamedTuple
+from collections import Counter
+from itertools import chain, repeat
+from math import cos, inf, isfinite, isnan, nan, pi, sin, sqrt
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -25,9 +30,6 @@ from .errors import (
 from .hypergraph import Hypergraph, is_connected
 from .symmetry import Coloring, _check_order
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Exact-arithmetic monotonicity of the Collatz-Wielandt bracket can wobble
 # by rounding noise; violations beyond this relative slack are a bug.
 _BRACKET_SLACK = 1e-9
@@ -37,7 +39,7 @@ class SpectralEstimate(NamedTuple):
     """Power-iteration result: radius bracket and positive eigenvector."""
 
     rho: float
-    eigenvector: np.ndarray
+    eigenvector: tuple[float, ...]
     iterations: int
     residual: float
     bracket: tuple[float, float]
@@ -58,40 +60,99 @@ class SimilarityCertificate(NamedTuple):
     max_deviation: float
 
 
-def _edge_index(graph: Hypergraph) -> np.ndarray:
-    """The edges as a (k, m) intp array of 0-based vertex indices."""
-    import numpy as np
+def _equitable_partition(
+    graph: Hypergraph,
+) -> tuple[list[int], list[int], dict[tuple[int, ...], int]]:
+    """The partition colour refinement reaches from the vertex degrees.
 
-    k, m = graph.edge_count, graph.uniformity
-    edges = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=k * m)
-    edges -= 1
-    return edges.reshape(k, m)
+    Returns (cell, sizes, types). cell[v] is the cell of vertex v, for
+    v = 1..n (cell[0] is unused); cells are numbered in order of their
+    first vertex, so when every cell is one vertex, cell v - 1 is {v}.
+    sizes[c] is the number of vertices in cell c. The type of an edge is
+    the sorted tuple of its members' cells; `types` maps each type to its
+    number of edges, in order of its first edge.
+
+    Each round gives every vertex the signature (its cell, the multiset
+    of the types of its edges) and splits the cells by signature. The
+    refinement stops after a round that splits no cell, or once every
+    cell is one vertex: then all vertices of a cell lie in the same number
+    of edges of each type, so the contraction of a vector that is
+    constant on each cell is constant on each cell too. A round reads the
+    edges in C-level passes: it numbers each edge's pattern (its members'
+    cells in member order) and counts the (pattern, vertex) incidences;
+    only the distinct patterns and counts are handled one at a time.
+    Every round reads every edge, and a round may split just one cell: a
+    path splits by distance from its ends, in about n/2 rounds.
+    """
+    n, m, edges = graph.vertex_count, graph.uniformity, graph.edges
+    degree = Counter(chain.from_iterable(edges))
+    cells = _Numbering()
+    cell = [-1, *map(cells.__getitem__, map(degree.__getitem__, range(1, n + 1)))]
+    while True:
+        patterns = _Numbering()
+        members = map(cell.__getitem__, chain.from_iterable(edges))
+        # zip of m references to one iterator takes the cells m at a time
+        pattern_of = list(map(patterns.__getitem__, zip(*[members] * m)))
+        kinds = [tuple(sorted(pattern)) for pattern in patterns]
+        if len(cells) == n:  # one vertex per cell splits no further
+            break
+        # one integer key per incidence: pattern * (n + 1) + vertex
+        keys = chain.from_iterable(map(repeat, map(mul, pattern_of, repeat(n + 1)), repeat(m)))
+        seen: list[Counter[tuple[int, ...]]] = [Counter() for _ in range(n + 1)]
+        for key, count in Counter(map(add, keys, chain.from_iterable(edges))).items():
+            pattern, v = divmod(key, n + 1)
+            seen[v][kinds[pattern]] += count
+        refined = _Numbering()
+        signatures = zip(cell[1:], map(frozenset, map(Counter.items, seen[1:])))
+        split = [-1, *map(refined.__getitem__, signatures)]
+        if len(refined) == len(cells):
+            break
+        cell, cells = split, refined
+    types: Counter[tuple[int, ...]] = Counter()
+    for pattern, count in Counter(pattern_of).items():
+        types[kinds[pattern]] += count
+    sizes = [0] * len(cells)
+    for c in cell[1:]:
+        sizes[c] += 1
+    return cell, sizes, types
 
 
-def _contract(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Contract the adjacency tensor with float64 x in every slot but the first.
+class _Numbering(dict):
+    """Gives each new key the next number, 0, 1, 2, ..., on first lookup."""
 
-    Component i sums, over edges containing i, the product of x over the
-    other edge members; the (m-1)! symmetric orderings cancel the
-    1/(m-1)! entry weight. A slot's product is its suffix product (right
-    to left) times its prefix product (left to right), so zeros in x are
-    safe. Both run one slot at a time over all edges, and the weights are
-    summed edge by edge, in edge order, so the result is the per-edge
+    def __missing__(self, key: object) -> int:
+        self[key] = number = len(self)
+        return number
+
+
+def _contract(
+    types: dict[tuple[int, ...], int], sizes: list[int], x: list[float]
+) -> list[float]:
+    """Contract the adjacency tensor with a cell-constant x in every slot but the first.
+
+    x[c] is the value on cell c, and the result is the value on each cell.
+    A vertex i sums, over the edges containing it, the product of x over
+    the other members; the (m-1)! symmetric orderings cancel the 1/(m-1)!
+    entry weight. Every vertex of cell C lies in the same number of edges
+    of each type, so
+    y_C = (1/|C|) * sum over types t of E_t * sum over the slots j of t
+    in C of prefix_j * suffix_j, where E_t counts the edges of type t and
+    prefix_j (suffix_j) is the product of x over the slots before
+    (after) j. No division, so zeros in x are safe. When every cell is
+    one vertex, each type is one edge and the result is the per-edge
     loop's bit for bit.
     """
-    import numpy as np
-
-    vals = x[edges.T]  # vals[j]: slot j of every edge
-    w = np.empty(edges.shape)
-    w[:, -2] = vals[-1]  # suffix products, right to left
-    for j in range(len(vals) - 3, -1, -1):
-        np.multiply(w[:, j + 1], vals[j + 1], out=w[:, j])
-    w[:, -1] = vals[0]  # the running prefix product, left to right
-    for j in range(1, len(vals) - 1):
-        w[:, j] *= w[:, -1]
-        w[:, -1] *= vals[j]
-    # bincount of an empty index is integer, whatever the weights
-    return np.bincount(edges.ravel(), weights=w.ravel(), minlength=n).astype(float, copy=False)
+    y = [0.0] * len(x)
+    for kind, count in types.items():
+        vals = list(map(x.__getitem__, kind))
+        suffix = [1.0]  # right to left
+        for v in vals[:0:-1]:
+            suffix.append(suffix[-1] * v)
+        prefix = count  # E_t times the running prefix product, left to right
+        for c, v, rest in zip(kind, vals, reversed(suffix)):
+            y[c] += prefix * rest
+            prefix *= v
+    return [total / size for total, size in zip(y, sizes)]
 
 
 def power_iteration_rho(
@@ -105,6 +166,9 @@ def power_iteration_rho(
     shrinks monotonically and iteration stops once its width is within
     `tolerance`. The reported rho is the bracket midpoint.
 
+    x stays constant on the cells of an equitable partition, so the
+    iteration runs on one value per cell (`_equitable_partition`).
+
     Raises ConvergenceError (carrying the last bracket) if the width does
     not reach `tolerance` within `max_iterations`; this happens for some
     spectrally symmetric inputs, where the bracket stalls. It raises at
@@ -117,18 +181,16 @@ def power_iteration_rho(
         raise ParameterError(f"max_iterations must be >= 1, got {max_iterations}")
     if not is_connected(graph):
         raise DisconnectedError("power iteration requires a connected hypergraph")
-    import numpy as np
-
-    m, n = graph.uniformity, graph.vertex_count
-    edges = _edge_index(graph)
-    x = np.ones(n)
-    x /= np.linalg.norm(x)
+    m = graph.uniformity
+    cell, sizes, types = _equitable_partition(graph)
+    x = [1.0 / sqrt(graph.vertex_count)] * len(sizes)
     history: list[tuple[float, float]] = []
     for iteration in range(1, max_iterations + 1):
-        y = _contract(edges, x, n)
-        with np.errstate(all="ignore"):
-            ratios = y / x ** (m - 1)
-        lo, hi = float(ratios.min()), float(ratios.max())
+        y = _contract(types, sizes, x)
+        # y/0 is inf and 0/0 is nan, as in IEEE arithmetic (Python raises)
+        powers = [v ** (m - 1) for v in x]
+        ratios = [a / p if p else inf if a else nan for a, p in zip(y, powers)]
+        lo, hi = (nan, nan) if any(map(isnan, ratios)) else (min(ratios), max(ratios))
         if not (isfinite(lo) and isfinite(hi)):
             raise ConvergenceError(
                 f"bracket [{lo}, {hi}] is not finite at iteration {iteration}: "
@@ -149,14 +211,15 @@ def power_iteration_rho(
         if hi - lo <= tolerance:
             return SpectralEstimate(
                 rho=(lo + hi) / 2,
-                eigenvector=x,
+                eigenvector=tuple(map(x.__getitem__, cell[1:])),
                 iterations=iteration,
                 residual=hi - lo,
                 bracket=(lo, hi),
                 history=tuple(history),
             )
-        x = y ** (1.0 / (m - 1))
-        x /= np.linalg.norm(x)
+        x = [a ** (1.0 / (m - 1)) for a in y]
+        norm = sqrt(sum(size * v * v for size, v in zip(sizes, x)))
+        x = [v / norm for v in x]
     lo, hi = history[-1]
     raise ConvergenceError(
         f"bracket width {hi - lo:.3e} above tolerance {tolerance:.3e} "
@@ -182,16 +245,18 @@ def verify_similarity(
     phases, taken in member order, and the color of its leading vertex.
     So each distinct color tuple is multiplied out once, and the rest of
     the formula runs once per distinct (product, color) pair. The float
-    operations are those of the array formula
-    |(prod(d) / d_i) * d_i^-(m-1) / rotation - 1| in numpy, in numpy's
-    order: the product from the first member on, Smith's complex
-    division with a reciprocal, binary powering, and libm's `hypot`
-    through `abs` of a complex (`math.hypot` rounds differently). The
-    deviation is thus the one numpy computes, bit for bit, for m < 101;
-    from there on numpy's power calls libm's `cpow` instead.
+    operations are those of the complex128 array formula
+    |(prod(d) / d_i) * d_i^-(m-1) / rotation - 1|, in the array
+    library's order: the product from the first member on, Smith's
+    complex division with a reciprocal, binary powering, and libm's
+    `hypot` through `abs` of a complex (`math.hypot` rounds differently).
+    The deviation is thus the one the reference loop in `tests/helpers.py`
+    computes, bit for bit, for m < 101; from there on the array power
+    calls libm's `cpow` instead.
     """
     m = _check_order(graph, symmetry_order, coloring)
-    # numpy divides the angles by m as complex numbers: it multiplies by 1/m
+    # the array formula divides the angles by m as complex numbers: it
+    # multiplies by 1/m
     step = 1.0 / m
     table = [_unit(2 * pi * v * step) for v in range(m)]
     rotation = _unit(2 * pi / symmetry_order)
@@ -223,12 +288,13 @@ def verify_similarity(
 
 
 def _unit(theta: float) -> complex:
-    """exp(i theta), as numpy's complex exp computes it at real part 0."""
+    """exp(i theta), as the array library's complex exp computes it at real part 0."""
     return complex(cos(theta), sin(theta))
 
 
 def _division(d: complex) -> tuple[bool, float, float]:
-    """Smith's constants for dividing by d as numpy does; `_divide` applies them."""
+    """Smith's constants for dividing by d as the array library does; `_divide`
+    applies them."""
     if abs(d.real) >= abs(d.imag):
         rat = d.imag / d.real
         return True, rat, 1.0 / (d.real + d.imag * rat)
@@ -246,8 +312,9 @@ def _divide(x: complex, by: tuple[bool, float, float]) -> complex:
 
 
 def _inverse_power(d: complex, n: int) -> complex:
-    """d^-n for 0 < n < 100 as numpy computes it: binary powering from 1,
-    then 1 / r by Smith's rule, with CPython's complex product (numpy's). A
+    """d^-n for 0 < n < 100 as the array library computes it: binary powering
+    from 1, then 1 / r by Smith's rule, with CPython's complex product (the
+    array library's). A
     zero of 1 / r may differ in sign (at rat = 0); no modulus sees it."""
     r = 1 + 0j
     while True:

@@ -4,7 +4,9 @@ Oracles here are deliberately independent of the library code paths they
 check: solvability by exhaustive enumeration, connectivity by transitive
 closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
-bit-exact oracles for those kernels, and so is the dense-vector span
+oracles for the plain-Python kernels (bit-exact where the arithmetic is
+the same), with the power iteration on every vertex that the
+equitable-partition quotient replaced, and so is the dense-vector span
 basis that the coefficient-only `_SpanBasis` replaced. Its `express`
 is the plain membership query, None off the span; `_SpanBasis.express`
 is the one walk that also scales. The per-divisor route, one query per
@@ -13,7 +15,8 @@ divisor, is the oracle for the sampled all-ones walk that
 the whole-list passes replaced is the oracle for `parse_hypergraph`.
 The block-constant and single-member lifts, the uncapped edge count of
 the three-class family and `apply_adjacency`, the contraction kernel on
-a graph, live here because only the tests use them.
+a graph with every vertex its own cell, live here because only the
+tests use them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from hypersym.errors import FileFormatError, HypergraphError, ParameterError
 from hypersym.fileio import _header_value, _significant_lines
 from hypersym.hypergraph import _build_per_edge
 from hypersym.modular import _SpanBasis, _unit_for, _xgcd
-from hypersym.spectral import _contract, _edge_index
+from hypersym.spectral import _contract
 
 
 def enumeration_solvable(entries, rhs, modulus) -> bool:
@@ -98,8 +101,11 @@ def adjacency_bruteforce(graph: Hypergraph, x) -> np.ndarray:
 
 
 def apply_adjacency(graph: Hypergraph, x) -> np.ndarray:
-    """The library's contraction kernel on a graph and a float64 vector."""
-    return _contract(_edge_index(graph), np.asarray(x, dtype=np.float64), graph.vertex_count)
+    """The library's contraction kernel on a graph and a float64 vector,
+    with every vertex its own cell: each edge is its own type."""
+    types = {tuple(v - 1 for v in edge): 1 for edge in graph.edges}
+    y = _contract(types, [1] * graph.vertex_count, [float(v) for v in x])
+    return np.array(y)
 
 
 def parse_hypergraph_loop(text: str) -> Hypergraph:
@@ -134,7 +140,8 @@ def parse_hypergraph_loop(text: str) -> Hypergraph:
 
 
 def contract_loop(edges: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """`spectral._contract` one edge at a time, by prefix and suffix products."""
+    """The tensor contraction one edge at a time, by prefix and suffix
+    products, on a (k, m) array of 0-based edge members."""
     out = np.zeros(n)
     for idx in edges:
         vals = x[idx]
@@ -148,6 +155,25 @@ def apply_adjacency_loop(graph: Hypergraph, x) -> np.ndarray:
     """Tensor contraction one edge at a time, by prefix and suffix products."""
     edges = np.array(graph.edges, dtype=np.intp).reshape(graph.edge_count, graph.uniformity)
     return contract_loop(edges - 1, np.asarray(x, dtype=np.float64), graph.vertex_count)
+
+
+def power_iteration_loop(graph: Hypergraph, tolerance: float, max_iterations: int = 10000):
+    """`power_iteration_rho` on every vertex, with the per-edge contraction:
+    (rho, residual, iterations), or None if the bracket stays wider than
+    `tolerance`."""
+    m, n = graph.uniformity, graph.vertex_count
+    edges = np.array(graph.edges, dtype=np.intp).reshape(graph.edge_count, m) - 1
+    x = np.full(n, 1.0 / math.sqrt(n))
+    lo, hi = -math.inf, math.inf
+    for iteration in range(1, max_iterations + 1):
+        y = contract_loop(edges, x, n)
+        ratios = y / x ** (m - 1)
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        if hi - lo <= tolerance:
+            return (lo + hi) / 2, hi - lo, iteration
+        x = y ** (1.0 / (m - 1))
+        x /= np.linalg.norm(x)
+    return None
 
 
 def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import hypersym
-from hypersym import cycle, nikiforov, NikiforovParams, path
+from hypersym import cycle, generalized_power, nikiforov, NikiforovParams, path
 from hypersym.errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -21,6 +21,8 @@ from hypersym.errors import (
 )
 from hypersym.cli import main
 from hypersym.fileio import read_hypergraph, write_hypergraph
+
+from helpers import power_iteration_loop
 
 
 @pytest.fixture
@@ -340,30 +342,30 @@ def _run_counting_imports(argv):
     ["conjecture", "{c4}", "--s", "2"],
     ["power", "{c4}", "--s", "2", "-o", "{out}"],
     ["nikiforov", "--k", "1", "--sizes", "6,6,4", "-o", "{out}"],
+    ["rho", "{c4}"],
+    ["verify-coloring", "{c4}", "--coloring", "{valid}", "--ell", "2"],
+    ["verify-coloring", "{c4}", "--coloring", "{invalid}", "--ell", "2"],
 ])
 def test_exact_commands_do_not_load_numpy(c4_file, tmp_path, command):
-    """Nor `dataclasses` or `inspect`, which cost every short job start-up
-    time."""
-    argv = [arg.format(c4=c4_file, out=tmp_path / "out.hg") for arg in command]
-    result = _run_counting_imports(argv)
+    """No command loads numpy, nor `dataclasses` or `inspect`, which cost
+    every short job start-up time: the exact commands, nor `rho` (the
+    power iteration and its kernel) and `verify-coloring` (the similarity
+    certificate), which are plain Python."""
+    files = {"c4": c4_file, "out": tmp_path / "out.hg"}
+    for verdict, values in (("valid", "1\n0\n1\n0\n"), ("invalid", "1\n1\n1\n1\n")):
+        files[verdict] = tmp_path / f"{verdict}.col"
+        files[verdict].write_text("modulus 2\n" + values)
+    result = _run_counting_imports([arg.format(**files) for arg in command])
     assert result.returncode == 0, result.stderr
-    expected = {"analyze": "cyclic_index = 2", "conjecture": "equality = true"}
+    if command[0] == "verify-coloring":
+        assert result.stdout.startswith(command[3].strip("{}") + ", max_deviation = ")
+        return
+    expected = {
+        "analyze": "cyclic_index = 2\n",
+        "conjecture": "equality = true\n",
+        "rho": "rho = 2.000000000000\n",
+    }
     assert expected.get(command[0], "wrote ") in result.stdout
-
-
-@pytest.mark.parametrize("values,verdict", [
-    ("1\n0\n1\n0\n", "valid"),
-    ("1\n1\n1\n1\n", "invalid"),
-], ids=["valid", "invalid"])
-def test_verify_coloring_does_not_load_numpy(c4_file, tmp_path, values, verdict):
-    # the similarity certificate is plain Python; only `rho` needs numpy
-    col = tmp_path / "c4.col"
-    col.write_text("modulus 2\n" + values)
-    result = _run_counting_imports(
-        ["verify-coloring", c4_file, "--coloring", str(col), "--ell", "2"]
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith(f"{verdict}, max_deviation = ")
 
 
 @pytest.mark.parametrize("kind", ["hypergraph", "coloring"])
@@ -535,7 +537,8 @@ def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, 
 
 
 # stdout and exit code of each command on the (6,6,4) family and its s=2
-# power, and on the (12,12,8) family; the witness colorings pin the
+# power, and on the (12,12,8) family (and its s=2 power for `rho`, the
+# inputs of the benchmark's spectral workload); the witness colorings pin the
 # all-ones walk's pivot choices. With `nikiforov`'s own labels the
 # (12,12,8) walks over Z_4, Z_8 and Z_12 each grow their 65-edge sample
 # to 130 edges once, so those lines pin the sample growth too
@@ -605,6 +608,16 @@ GOLDEN_FAMILY_OUTPUT = [
         "residual = 4.265e-09\n"
         "iterations = 19\n"
     )),
+    ("family12", ["rho", "--tol", "1e-8"], 0, (
+        "rho = 1131.514280401229\n"
+        "residual = 2.660e-09\n"
+        "iterations = 16\n"
+    )),
+    ("power12", ["rho", "--tol", "1e-8"], 0, (
+        "rho = 1131.514280401086\n"
+        "residual = 3.111e-09\n"
+        "iterations = 22\n"
+    )),
     ("family12", ["analyze"], 0, (
         "uniform 4\n"
         "vertices 32\n"
@@ -642,16 +655,32 @@ GOLDEN_FAMILY_OUTPUT = [
 )
 def test_family_output_is_pinned(tmp_path, capsys, graph, command, code, stdout):
     family = tmp_path / "nik.hg"
-    sizes = "12,12,8" if graph == "family12" else "6,6,4"
+    sizes = "12,12,8" if graph.endswith("12") else "6,6,4"
     assert main(["nikiforov", "--k", "1", "--sizes", sizes, "-o", str(family)]) == 0
     target = family
-    if graph == "power":
+    if graph.startswith("power"):
         target = tmp_path / "nik2.hg"
         assert main(["power", str(family), "--s", "2", "-o", str(target)]) == 0
     capsys.readouterr()
     assert main([command[0], str(target), *command[1:]]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (stdout, "")
+
+
+GOLDEN_RHO_OUTPUT = {graph: out for graph, command, _, out in GOLDEN_FAMILY_OUTPUT if command[0] == "rho"}
+
+
+@pytest.mark.parametrize("graph,stdout", GOLDEN_RHO_OUTPUT.items(), ids=list(GOLDEN_RHO_OUTPUT))
+def test_pinned_rho_is_the_per_edge_iteration_within_tolerance(graph, stdout):
+    # the quotient iteration rounds differently from the iteration on every
+    # vertex; the pinned digits must still be that one's within --tol
+    base = nikiforov(NikiforovParams(1, *((12, 12, 8) if graph.endswith("12") else (6, 6, 4))))
+    g = generalized_power(base, 8, 2)[0] if graph.startswith("power") else base
+    rho, _, iterations = power_iteration_loop(g, 1e-8)
+    fields = dict(line.split(" = ") for line in stdout.splitlines())
+    assert int(fields["iterations"]) == iterations
+    assert abs(float(fields["rho"]) - rho) <= 1e-8 + 1e-12 * rho
+    assert float(fields["residual"]) <= 1e-8
 
 
 # `analyze` on two blow-ups whose blocks are twin vertices: the s=3 power

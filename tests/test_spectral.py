@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,12 +28,14 @@ from hypersym import (
     verify_similarity,
 )
 
+from hypersym.spectral import _contract, _equitable_partition
+
 from helpers import (
     adjacency_bruteforce,
     apply_adjacency,
     apply_adjacency_loop,
-    contract_loop,
     lift_single_member,
+    power_iteration_loop,
     random_connected_hypergraph,
     random_hypergraph,
     similarity_deviation_loop,
@@ -55,6 +58,7 @@ def _kernel_input(np_rng, n):
 
 
 def _assert_kernel_matches_loop(graph, x):
+    # every vertex its own cell: the per-edge loop, bit for bit
     assert np.array_equal(apply_adjacency(graph, x), apply_adjacency_loop(graph, x))
 
 
@@ -132,7 +136,8 @@ def test_rho_stock_values():
     est = power_iteration_rho(complete(4), tolerance=1e-8)
     assert abs(est.rho - 3.0) <= 1e-8
     assert est.residual <= 1e-8
-    assert np.all(est.eigenvector > 0)
+    assert type(est.eigenvector) is tuple and len(est.eigenvector) == 4
+    assert all(type(v) is float and v > 0 for v in est.eigenvector)
 
 
 def test_rho_matches_dense_eigenvalues_for_graphs():
@@ -181,26 +186,79 @@ def test_rho_nonconvergence_reports_bracket():
     assert info.value.iterations == 40
 
 
-def _rho_outcome(graph):
-    """Every field of the estimate, or of the ConvergenceError raised."""
-    try:
-        est = power_iteration_rho(graph, tolerance=1e-10, max_iterations=300)
-    except ConvergenceError as err:
-        return str(err), err.bracket, err.iterations
-    return est._replace(eigenvector=est.eigenvector.tobytes())
-
-
-def test_rho_matches_per_edge_kernel(monkeypatch):
-    # the estimate, eigenvector bytes included, is the one the per-edge loop
-    # gives; a kernel that sums slot by slot instead of edge by edge differs
+def test_rho_matches_per_edge_kernel():
+    # the same iteration counts, and rho within the tolerance, as the
+    # iteration on every vertex with the per-edge kernel; not bit for bit,
+    # because that one takes a BLAS norm and sums edge by edge
     _, base, power, _ = _family_and_power()
     rng = random.Random(66)
     graphs = [base, power] + [
         random_connected_hypergraph(rng, rng.randint(2, 7), n_max=9) for _ in range(30)
     ]
-    want = [_rho_outcome(g) for g in graphs]
-    monkeypatch.setattr(hypersym.spectral, "_contract", contract_loop)
-    assert [_rho_outcome(g) for g in graphs] == want
+    for g in graphs:
+        want = power_iteration_loop(g, 1e-10, max_iterations=300)
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                power_iteration_rho(g, tolerance=1e-10, max_iterations=300)
+            continue
+        est = power_iteration_rho(g, tolerance=1e-10, max_iterations=300)
+        assert est.iterations == want[2]
+        assert abs(est.rho - want[0]) <= 1e-10 + 1e-12 * est.rho
+        assert est.residual <= 1e-10
+
+
+def _graphs_and_powers(rng):
+    """Random connected graphs with their s = 2, 3 powers, and stock graphs."""
+    for _ in range(12):
+        g = random_connected_hypergraph(rng, rng.randint(2, 4), n_max=8)
+        yield g
+        for s in (2, 3):
+            yield generalized_power(g, s * g.uniformity, s)[0]
+    # path(9) takes four rounds to split its cells by distance from an end
+    yield from (cycle(5), cycle(6), path(9), complete(5), single_edge(4))
+
+
+def test_refinement_partition_is_equitable():
+    rng = random.Random(67)
+    for g in _graphs_and_powers(rng):
+        cell, sizes, types = _equitable_partition(g)
+        kinds = [tuple(sorted(cell[v] for v in edge)) for edge in g.edges]
+        assert types == Counter(kinds)
+        assert list(types) == list(dict.fromkeys(kinds))
+        assert sizes == [cell[1:].count(c) for c in range(len(sizes))]
+        # cells are numbered in order of their first vertex
+        assert list(dict.fromkeys(cell[1:])) == list(range(len(sizes)))
+        seen = [Counter() for _ in range(g.vertex_count + 1)]
+        for kind, edge in zip(kinds, g.edges):
+            for v in edge:
+                seen[v][kind] += 1
+        first = {}
+        for v in range(1, g.vertex_count + 1):
+            assert seen[first.setdefault(cell[v], v)] == seen[v]
+
+
+def test_family_and_power_have_two_cells_and_two_types():
+    # the property the quotient needs to be small: on the paper's family
+    # (A and B the same size) and its blow-ups, 2 cells and 2 edge types
+    for sizes in ((6, 6, 4), (12, 12, 8)):
+        base = nikiforov(NikiforovParams(1, *sizes))
+        for g in (base, generalized_power(base, 8, 2)[0]):
+            _, cell_sizes, types = _equitable_partition(g)
+            assert len(cell_sizes) == 2 and len(types) == 2
+
+
+def test_contract_on_the_partition_matches_per_edge_loop():
+    # for x constant on each cell, the per-cell kernel is the per-edge one
+    # within rounding
+    rng = random.Random(68)
+    _, base, power, _ = _family_and_power()
+    for g in [base, power, *_graphs_and_powers(rng)]:
+        cell, sizes, types = _equitable_partition(g)
+        x = [rng.uniform(0.5, 2.0) for _ in sizes]
+        got = _contract(types, sizes, x)
+        want = apply_adjacency_loop(g, [x[c] for c in cell[1:]])
+        for v in range(1, g.vertex_count + 1):
+            assert abs(got[cell[v]] - want[v - 1]) <= 1e-12 * want[v - 1]
 
 
 def test_rho_raises_on_a_widened_bracket(monkeypatch):
@@ -208,9 +266,9 @@ def test_rho_raises_on_a_widened_bracket(monkeypatch):
     contract = hypersym.spectral._contract
     calls = []
 
-    def doubling(edges, x, n):
+    def doubling(types, sizes, x):
         calls.append(1)
-        return contract(edges, x, n) * 2.0 ** len(calls)
+        return [y * 2.0 ** len(calls) for y in contract(types, sizes, x)]
 
     monkeypatch.setattr(hypersym.spectral, "_contract", doubling)
     with pytest.raises(InternalConsistencyError, match=r"^bracket widened: "):
