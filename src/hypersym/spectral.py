@@ -9,8 +9,8 @@ partition's table of edge types (the sorted tuples of member cells),
 each with its edge count. The paper's three-class family and its
 blow-ups have 2 cells and 2 types; on an input without symmetry every
 cell is one vertex and the kernel is a loop over the edges. The
-similarity check needs only the m phases of Z_m. All of it is plain
-Python, so no command loads an array library.
+similarity check needs only each edge's color sum mod m. All of it is
+plain Python, so no command loads an array library.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .symmetry import Coloring, _check_order
+from .symmetry import Coloring, _check_order, _residues
 
 # Exact-arithmetic monotonicity of the Collatz-Wielandt bracket can wobble
 # by rounding noise; violations beyond this relative slack are a bug.
@@ -51,7 +51,7 @@ class SimilarityCertificate(NamedTuple):
 
     `max_deviation` is the largest distance from 1 of
     rotation^-1 * d_i^-(m-1) * prod_{j in e, j != i} d_j over all edges e
-    and all leading vertices i; a valid coloring drives it to zero.
+    and all leading vertices i; it is exactly 0.0 for a valid coloring.
     """
 
     modulus: int
@@ -234,93 +234,26 @@ def verify_similarity(
 ) -> SimilarityCertificate:
     """Certify spectrum rotation by the coloring's diagonal phase matrix.
 
-    Maps each color to the unit phase d_v = exp(i 2 pi phi(v) / m) and
-    measures, on every nonzero tensor entry, how far
-    exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
-    lands from 1. A valid coloring makes the diagonal similarity exact,
-    so the maximum deviation is numerically zero; any edge whose colors
-    miss m/l shows up as a deviation bounded away from zero.
-
-    An entry depends on its edge only through the product of the edge's
-    phases, taken in member order, and the color of its leading vertex.
-    So each distinct color tuple is multiplied out once, and the rest of
-    the formula runs once per distinct (product, color) pair. The float
-    operations are those of the complex128 array formula
-    |(prod(d) / d_i) * d_i^-(m-1) / rotation - 1|, in the array
-    library's order: the product from the first member on, Smith's
-    complex division with a reciprocal, binary powering, and libm's
-    `hypot` through `abs` of a complex (`math.hypot` rounds differently).
-    The deviation is thus the one the reference loop in `tests/helpers.py`
-    computes, bit for bit, for m < 101; from there on the array power
-    calls libm's `cpow` instead.
+    Maps each color to the unit phase d_v = exp(i 2 pi phi(v) / m). As
+    d_i^m = 1, the entry exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
+    is exp(i 2 pi r / m) for every leading vertex i, where r is the edge's
+    color sum minus m/l, mod m. Its distance from 1 is 2 sin(pi r / m), taken
+    at min(r, m - r) so that the argument stays in (0, pi/2]: the maximum is
+    exactly 0.0 when every edge sums to m/l, and positive otherwise.
     """
     m = _check_order(graph, symmetry_order, coloring)
-    # the array formula divides the angles by m as complex numbers: it
-    # multiplies by 1/m
+    # exp(2j * pi * v / m) as the array library rounds it: the angle times 1/m
     step = 1.0 / m
-    table = [_unit(2 * pi * v * step) for v in range(m)]
-    rotation = _unit(2 * pi / symmetry_order)
-    # per color: the constants for dividing by d, then d^-(m-1)
-    slots = [(_division(d), _inverse_power(d, m - 1)) for d in table]
-    by_rotation = _division(rotation)
-    get = (0, *coloring.values).__getitem__
-    # colors met with each product; a product that is 0.0 in one tuple and
-    # -0.0 in another shares a key, which is harmless: the steps below only
-    # multiply and add, so the sign of a zero never reaches the modulus
-    present: dict[complex, set[int]] = {}
-    for colors in {tuple(map(get, edge)) for edge in graph.edges}:
-        product = table[colors[0]]
-        for c in colors[1:]:
-            product *= table[c]
-        present.setdefault(product, set()).update(colors)
-    worst = 0.0
-    for product, leads in present.items():
-        for by_lead, own in map(slots.__getitem__, leads):
-            gap = abs(_divide(_divide(product, by_lead) * own, by_rotation) - 1.0)
-            if gap > worst:
-                worst = gap
+    # edges are 1-based; a leading 0 puts vertex v's color at index v
+    residues = _residues(graph.edges, (0, *coloring.values), m, m // symmetry_order)
     return SimilarityCertificate(
         modulus=m,
-        phases=tuple(map(table.__getitem__, coloring.values)),
-        rotation=rotation,
-        max_deviation=worst,
+        phases=tuple(_unit(2 * pi * v * step) for v in coloring.values),
+        rotation=_unit(2 * pi / symmetry_order),
+        max_deviation=max((2 * sin(pi * min(r, m - r) / m) for r in residues if r), default=0.0),
     )
 
 
 def _unit(theta: float) -> complex:
     """exp(i theta), as the array library's complex exp computes it at real part 0."""
     return complex(cos(theta), sin(theta))
-
-
-def _division(d: complex) -> tuple[bool, float, float]:
-    """Smith's constants for dividing by d as the array library does; `_divide`
-    applies them."""
-    if abs(d.real) >= abs(d.imag):
-        rat = d.imag / d.real
-        return True, rat, 1.0 / (d.real + d.imag * rat)
-    rat = d.real / d.imag
-    return False, rat, 1.0 / (d.imag + d.real * rat)
-
-
-def _divide(x: complex, by: tuple[bool, float, float]) -> complex:
-    """x / d, from the constants `_division(d)`."""
-    wide, rat, scl = by
-    xr, xi = x.real, x.imag
-    if wide:
-        return complex((xr + xi * rat) * scl, (xi - xr * rat) * scl)
-    return complex((xr * rat + xi) * scl, (xi * rat - xr) * scl)
-
-
-def _inverse_power(d: complex, n: int) -> complex:
-    """d^-n for 0 < n < 100 as the array library computes it: binary powering
-    from 1, then 1 / r by Smith's rule, with CPython's complex product (the
-    array library's). A
-    zero of 1 / r may differ in sign (at rat = 0); no modulus sees it."""
-    r = 1 + 0j
-    while True:
-        if n & 1:
-            r *= d
-        n >>= 1
-        if not n:
-            return _divide(1.0, _division(r))
-        d *= d

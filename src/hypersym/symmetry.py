@@ -93,6 +93,13 @@ def _misses(rows, values, modulus: int, target: int):
     return (row for row in rows if sum(map(get, row)) % modulus != target)
 
 
+def _residues(rows, values, modulus: int, target: int) -> set[int]:
+    """The distinct (row sum - `target`) mod `modulus` over the rows; {0} or
+    empty exactly when no row misses."""
+    get = values.__getitem__
+    return {(sum(map(get, row)) - target) % modulus for row in rows}
+
+
 def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]:
     """Witness coloring if the spectrum is rotation-symmetric of order l.
 

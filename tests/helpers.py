@@ -16,7 +16,8 @@ the whole-list passes replaced is the oracle for `parse_hypergraph`.
 The block-constant and single-member lifts, the uncapped edge count of
 the three-class family and `apply_adjacency`, the contraction kernel on
 a graph with every vertex its own cell, live here because only the
-tests use them.
+tests use them. `CountedEdges` counts the passes a function makes over
+a graph's edges.
 """
 
 from __future__ import annotations
@@ -189,6 +190,16 @@ def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) 
             value = full / d[i] * d[i] ** (-(m - 1)) / rotation
             max_deviation = max(max_deviation, abs(value - 1.0))
     return max_deviation
+
+
+class CountedEdges(tuple):
+    """An edge tuple that counts the loops over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        CountedEdges.reads += 1
+        return super().__iter__()
 
 
 def lift_block_constant(layout: PowerLayout, base: Coloring) -> Coloring:

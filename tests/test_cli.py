@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 import hypersym
-from hypersym import cycle, generalized_power, nikiforov, NikiforovParams, path
+from hypersym import (
+    cycle,
+    generalized_power,
+    nikiforov,
+    nikiforov_coloring,
+    NikiforovParams,
+    path,
+)
 from hypersym.errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -20,9 +27,9 @@ from hypersym.errors import (
     ParameterError,
 )
 from hypersym.cli import main
-from hypersym.fileio import read_hypergraph, write_hypergraph
+from hypersym.fileio import read_hypergraph, write_coloring, write_hypergraph
 
-from helpers import power_iteration_loop
+from helpers import CountedEdges, power_iteration_loop
 
 
 @pytest.fixture
@@ -313,6 +320,41 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
     col.write_text("modulus 2\n0\n1\n")
     assert main(["verify-coloring", str(graph), "--coloring", str(col), "--ell", "2"]) == 0
     assert capsys.readouterr().out == "valid, max_deviation = 0.000e+00\n"
+
+
+@pytest.mark.parametrize("command,reads,last_line", [
+    # connectivity, the proof pass of the all-ones walk over Z_4 and the
+    # edge sums of the l = 2 witness
+    (["analyze", "{hg}"], 3, "cyclic_index = 2"),
+    # connectivity and the proof passes of the walks over Z_4 and Z_8
+    (["conjecture", "{hg}", "--s", "2"], 3,
+     "c(power) = 2 != 4 = s*c(base): conjecture fails here"),
+    # connectivity, the degree count and one refinement round, which reads
+    # the edges twice and splits nothing
+    (["rho", "{hg}"], 4, "iterations = 14"),
+    # one edge-sum pass, valid or not
+    (["verify-coloring", "{hg}", "--coloring", "{col}", "--ell", "2"], 1,
+     "valid, max_deviation = 0.000e+00"),
+    (["verify-coloring", "{hg}", "--coloring", "{col}", "--ell", "4"], 1,
+     "invalid, max_deviation = 1.414e+00"),
+], ids=["analyze", "conjecture", "rho", "verify-valid", "verify-invalid"])
+def test_edge_reads_per_command(
+    nikiforov_file, tmp_path, monkeypatch, capsys, command, reads, last_line
+):
+    # the passes over the edges of the graph the reader returns, on the
+    # (6,6,4) family, where every walk is proved in its first round
+    col = tmp_path / "nik.col"
+    write_coloring(nikiforov_coloring(NikiforovParams(1, 6, 6, 4)), col)
+
+    def counted(path):
+        graph = read_hypergraph(path)
+        return graph._replace(edges=CountedEdges(graph.edges))
+
+    monkeypatch.setattr("hypersym.fileio.read_hypergraph", counted)
+    monkeypatch.setattr(CountedEdges, "reads", 0)
+    main([arg.format(hg=nikiforov_file, col=col) for arg in command])
+    assert CountedEdges.reads == reads
+    assert capsys.readouterr().out.splitlines()[-1] == last_line
 
 
 def _run_counting_imports(argv):

@@ -31,6 +31,7 @@ from hypersym.fileio import write_hypergraph
 from hypersym.symmetry import _index_generator
 
 from helpers import (
+    CountedEdges,
     enumeration_symmetric,
     is_bipartite_bfs,
     per_divisor_report,
@@ -333,16 +334,6 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
     assert report.cyclic_index == per_divisor_report(graph, 8).cyclic_index
 
 
-class _CountedEdges(tuple):
-    """An edge tuple that counts the loops over it."""
-
-    reads = 0
-
-    def __iter__(self):
-        _CountedEdges.reads += 1
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("q", [4, 8, 12])
 def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
     # on this family every modulus needs a second round; a failed round
@@ -355,8 +346,8 @@ def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
         return _SpanBasis(modulus, width, rows)
 
     monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
-    monkeypatch.setattr(_CountedEdges, "reads", 0)
-    a, x = _index_generator(graph._replace(edges=_CountedEdges(graph.edges)), q)
+    monkeypatch.setattr(CountedEdges, "reads", 0)
+    a, x = _index_generator(graph._replace(edges=CountedEdges(graph.edges)), q)
     assert built == [65, 130]
-    assert _CountedEdges.reads == len(built)
+    assert CountedEdges.reads == len(built)
     assert gcd(a, q) == q // per_divisor_report(graph, q).cyclic_index
