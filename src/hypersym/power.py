@@ -145,9 +145,9 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     every column repeated s times, which spans the same submodule, so
     c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
     Over each modulus q an all-ones walk on an edge sample, proved by one
-    edge-sum pass over every edge, gives B x = a * 1 with b * 1 in the
-    span exactly for the multiples b of g = gcd(a, q), so the index is
-    q/g (`symmetry._index_generator`); the span basis of the whole
+    edge-sum pass over every edge, returns the generator g dividing q
+    with b * 1 in the span exactly for the multiples b of g, so the index
+    is q/g (`symmetry._index_generator`); the span basis of the whole
     incidence is never built. The characterization system
     B x = (t / c(base)) * 1 over Z_m has target g_t, so it is solvable
     exactly when g_m divides g_t, which is equivalent to equality.
@@ -160,8 +160,8 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
         raise DisconnectedError("conjecture check requires a connected hypergraph")
     t = graph.uniformity
     m = blowup * t
-    g_base = gcd(_index_generator(graph, t)[0], t)
-    g_power = gcd(_index_generator(graph, m)[0], m)
+    g_base, _ = _index_generator(graph, t)
+    g_power, _ = _index_generator(graph, m)
     base_c = t // g_base
     power_c = m // g_power
     product = blowup * base_c

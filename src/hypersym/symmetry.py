@@ -114,7 +114,7 @@ def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
     Every divisor l of m is decided and recorded: l is solvable exactly
-    when g = gcd(a, m), for the a of `_index_generator`, divides m/l, so
+    when the generator g that `_index_generator` returns divides m/l, so
     divisor closure holds by construction and the index is m/g.
     """
     evidence = _evidence(graph, divisors(graph.uniformity))
@@ -125,43 +125,33 @@ def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
     """For a connected graph, each order l in `orders`, all dividing m,
     mapped to its witness or None.
 
-    Every witness is u * x for the proved B x = a * 1 of
-    `_index_generator`, whose a is g = gcd(a, m), or 0 when g = m: order
-    l is solvable exactly when g divides m/l, and then u = (m/l)/g mod
-    m/g gives u * a = m/l (mod m) and B (u x) = (m/l) * 1. Order 1 has
-    u = 0, so when no order above 1 is asked for there is no walk: x = 0
-    and a = 0 prove as much. Each witness with u != 0 is checked by edge
-    sums.
+    Every witness is u * x for the proved B x = g * 1 of
+    `_index_generator`: order l is solvable exactly when g divides m/l,
+    and then u = (m/l)/g mod m/g gives u * g = m/l (mod m), so
+    B (u x) = (m/l) * 1 by linearity and no witness reads the edges.
+    Order 1 has u = 0, so when no order above 1 is asked for there is no
+    walk: x = 0 and g = m prove as much.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
     if max(orders) > 1:
-        a, x = _index_generator(graph, m)
+        g, x = _index_generator(graph, m)
     else:
-        a, x = 0, [0] * (graph.vertex_count + 1)
-    g = gcd(a, m)
+        g, x = m, [0] * (graph.vertex_count + 1)
     evidence: dict[int, Optional[Coloring]] = {}
     for ell in orders:
         b = m // ell
-        if b % g:
-            evidence[ell] = None
-            continue
         u = b // g % (m // g)
-        w = [u * v % m for v in x]
-        if u and any(_misses(graph.edges, w, m, b)):
-            raise InternalConsistencyError(
-                f"order {ell} witness over Z_{m} fails edge-sum verification"
-            )
-        evidence[ell] = Coloring(m, w[1:])
+        evidence[ell] = None if b % g else Coloring(m, (u * v for v in x[1:]))
     return evidence
 
 
 def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
-    """(a, x) with B x = a * 1 over Z_q on every edge of a connected
-    graph, where b * 1 is in the span of the incidence B exactly for the
-    multiples b of g = gcd(a, q), and a is g, or 0 when g = q, as
-    `express` gives it; the index is q/g. x[0] is a zero slot.
+    """(g, x) with B x = g * 1 over Z_q on every edge of a connected
+    graph, where g divides q and b * 1 is in the span of the incidence B
+    exactly for the multiples b of g; the index is q/g. x[0] is a zero
+    slot.
 
     An all-ones `express` walk on the incidence of an edge sample S gives
     B_S x = a * 1. When every edge of the graph sums to a under x, g is
@@ -170,7 +160,9 @@ def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
     gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
     every edge when k < 4n. The pass reads the edges once and stops
     after |S| misses: none proves the walk, otherwise the missed edges
-    join S and the walk runs again.
+    join S and the walk runs again. `express` gives a as g itself, or 0
+    when g = q; that a = g (mod q) is checked last, in O(1), so
+    B x = g * 1 holds too.
     """
     q = modulus
     edges = graph.edges
@@ -180,9 +172,15 @@ def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
         a, x = _SpanBasis(q, n, sample).express(repeat(1))
         missed = list(islice(_misses(edges, x, q, a), len(sample)))
         if not missed:
-            return a, x
+            break
         if len(sample) >= len(edges):
             raise InternalConsistencyError(
                 f"all-ones walk over Z_{q} fails edge-sum verification"
             )
         sample += missed
+    g = gcd(a, q)
+    if a % q != g % q:
+        raise InternalConsistencyError(
+            f"all-ones walk over Z_{q} gives a = {a}, not its generator {g}"
+        )
+    return g, x

@@ -323,9 +323,13 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,reads,last_line", [
-    # connectivity, the proof pass of the all-ones walk over Z_4 and the
-    # edge sums of the l = 2 witness
-    (["analyze", "{hg}"], 3, "cyclic_index = 2"),
+    # connectivity and the proof pass of the all-ones walk over Z_4; every
+    # witness is a multiple of that walk's x and reads no edge
+    (["analyze", "{hg}"], 2, "cyclic_index = 2"),
+    # on the s=2 power, whose walk over Z_8 needs a second round
+    (["analyze", "{hg2}"], 3, "cyclic_index = 2"),
+    # on the s=3 power, also in two rounds, with orders 2, 3 and 6 solvable
+    (["analyze", "{hg3}"], 3, "cyclic_index = 6"),
     # connectivity and the proof passes of the walks over Z_4 and Z_8
     (["conjecture", "{hg}", "--s", "2"], 3,
      "c(power) = 2 != 4 = s*c(base): conjecture fails here"),
@@ -337,14 +341,22 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
      "valid, max_deviation = 0.000e+00"),
     (["verify-coloring", "{hg}", "--coloring", "{col}", "--ell", "4"], 1,
      "invalid, max_deviation = 1.414e+00"),
-], ids=["analyze", "conjecture", "rho", "verify-valid", "verify-invalid"])
+], ids=[
+    "analyze", "analyze-s2", "analyze-s3", "conjecture", "rho", "verify-valid",
+    "verify-invalid",
+])
 def test_edge_reads_per_command(
     nikiforov_file, tmp_path, monkeypatch, capsys, command, reads, last_line
 ):
     # the passes over the edges of the graph the reader returns, on the
-    # (6,6,4) family, where every walk is proved in its first round
+    # (6,6,4) family, where every walk is proved in its first round, and
+    # on its s=2 and s=3 powers
     col = tmp_path / "nik.col"
     write_coloring(nikiforov_coloring(NikiforovParams(1, 6, 6, 4)), col)
+    family = nikiforov(NikiforovParams(1, 6, 6, 4))
+    powers = {f"hg{s}": tmp_path / f"nik{s}.hg" for s in (2, 3)}
+    for s in (2, 3):
+        write_hypergraph(generalized_power(family, 4 * s, s)[0], powers[f"hg{s}"])
 
     def counted(path):
         graph = read_hypergraph(path)
@@ -352,7 +364,7 @@ def test_edge_reads_per_command(
 
     monkeypatch.setattr("hypersym.fileio.read_hypergraph", counted)
     monkeypatch.setattr(CountedEdges, "reads", 0)
-    main([arg.format(hg=nikiforov_file, col=col) for arg in command])
+    main([arg.format(hg=nikiforov_file, col=col, **powers) for arg in command])
     assert CountedEdges.reads == reads
     assert capsys.readouterr().out.splitlines()[-1] == last_line
 

@@ -246,6 +246,29 @@ def test_power_index_from_base_matches_built_power_random():
         _assert_base_route_matches_built_power(base, rng.choice([2, 3, 4, 5]))
 
 
+def test_built_power_witnesses_verify():
+    # every witness of a built power scales one proved walk's x and is not
+    # re-checked by `cyclic_index`: here each one passes the edge sums, the
+    # verdicts are the per-divisor oracle's, and many powers solve more
+    # than one order above 1
+    rng = random.Random(47)
+    several = 0
+    for _ in range(40):
+        t = rng.choice([2, 3, 4])
+        base = random_connected_hypergraph(rng, t, n_max=7)
+        for s in (2, 3):
+            power, _ = generalized_power(base, s * t, s)
+            report = cyclic_index(power)
+            oracle = per_divisor_report(power, s * t)
+            assert report.cyclic_index == oracle.cyclic_index
+            for ell, witness in report.divisor_evidence.items():
+                assert (witness is None) == (oracle.divisor_evidence[ell] is None)
+                if witness is not None:
+                    assert verify_coloring(power, witness, ell)
+            several += sum(w is not None for w in report.divisor_evidence.values()) > 2
+    assert several >= 40
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rng=st.randoms(use_true_random=False),

@@ -1,6 +1,7 @@
 import itertools
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -227,11 +228,16 @@ def test_all_ones_walk_self_check_raises(monkeypatch):
         cyclic_index(cycle(4))
 
 
+def _faulty_basis(proved):
+    """A `_SpanBasis` stand-in whose every walk returns `proved`."""
+    return lambda modulus, width, rows: SimpleNamespace(express=lambda target: proved)
+
+
 def test_witness_self_check_raises(monkeypatch, tmp_path, capsys):
-    # a = 1 with x = 0 claims B x = 1, so the order 2 witness 1 * x sums
-    # to 0, not 1, on every edge of C4
-    monkeypatch.setattr(hypersym.symmetry, "_index_generator", lambda graph, q: (1, [0] * 5))
-    message = "order 2 witness over Z_2 fails edge-sum verification"
+    # a = 1 with x = 0 claims B x = 1 on C4, but every edge sums to 0:
+    # the proof pass refuses the walk before any witness is built
+    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", _faulty_basis((1, [0] * 5)))
+    message = "all-ones walk over Z_2 fails edge-sum verification"
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         cyclic_index(cycle(4))
     target = tmp_path / "c4.hg"
@@ -254,11 +260,13 @@ def test_the_all_ones_walk_returns_its_generator(data, q):
 
 
 def test_a_walk_whose_a_is_not_g_fails_the_witness_check(monkeypatch, tmp_path, capsys):
-    # B x = 5 * 1 over Z_6 on one 6-uniform edge, with g = gcd(5, 6) = 1:
-    # the order 3 witness (2/g) * x sums to 4, not 2
-    proved = (5, [0, 5, 0, 0, 0, 0, 0])
-    monkeypatch.setattr(hypersym.symmetry, "_index_generator", lambda graph, q: proved)
-    message = "order 3 witness over Z_6 fails edge-sum verification"
+    # B x = 5 * 1 over Z_6 on one 6-uniform edge passes the proof pass,
+    # but g = gcd(5, 6) = 1, so the order 3 witness (2/g) * x would sum
+    # to 4, not 2: the O(1) check that a is g refuses the walk
+    monkeypatch.setattr(
+        hypersym.symmetry, "_SpanBasis", _faulty_basis((5, [0, 5, 0, 0, 0, 0, 0]))
+    )
+    message = "all-ones walk over Z_6 gives a = 5, not its generator 1"
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         cyclic_index(single_edge(6))
     target = tmp_path / "e6.hg"
@@ -296,6 +304,14 @@ def _planted_connected(rng, t):
                 return graph
 
 
+def _assert_generator(graph, q, g, x):
+    """g divides q, is q over the oracle's index and is every edge's sum
+    under x."""
+    assert q % g == 0
+    assert g == q // per_divisor_report(graph, q).cyclic_index
+    assert all(sum(x[v] for v in e) % q == g % q for e in graph.edges)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rng=st.randoms(use_true_random=False),
@@ -306,8 +322,8 @@ def _planted_connected(rng, t):
 def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
     graph = (_planted_connected if planted else _dense_connected)(rng, t)
     q = factor * t
-    a, _ = _index_generator(graph, q)
-    assert gcd(a, q) == q // per_divisor_report(graph, q).cyclic_index
+    g, x = _index_generator(graph, q)
+    _assert_generator(graph, q, g, x)
     if planted:
         # the witnesses of the orders above 1 scale the sampled walk's x
         assert per_divisor_report(graph, t).cyclic_index > 1
@@ -347,7 +363,7 @@ def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
 
     monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
     monkeypatch.setattr(CountedEdges, "reads", 0)
-    a, x = _index_generator(graph._replace(edges=CountedEdges(graph.edges)), q)
+    g, x = _index_generator(graph._replace(edges=CountedEdges(graph.edges)), q)
     assert built == [65, 130]
     assert CountedEdges.reads == len(built)
-    assert gcd(a, q) == q // per_divisor_report(graph, q).cyclic_index
+    _assert_generator(graph, q, g, x)
