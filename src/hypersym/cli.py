@@ -28,7 +28,6 @@ from .errors import (
     ParameterError,
 )
 from .families import DEFAULT_EDGE_BUDGET, NikiforovParams, nikiforov, nikiforov_coloring, stock
-from .hypergraph import has_isolated_vertex
 from .power import conjecture_check, generalized_power, power_cyclic_index_shortcut
 from .spectral import power_iteration_rho, verify_similarity
 from .symmetry import cyclic_index
@@ -75,10 +74,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_power(args) -> int:
     graph = fileio.read_hypergraph(args.path)
-    # the power has one block per base vertex, so a vertex in no edge (a
-    # huge `vertices` header, say) is refused before any block is built
-    if has_isolated_vertex(graph):
-        raise DisconnectedError("power requires every vertex to lie in an edge")
     m = args.m if args.m is not None else args.s * graph.uniformity
     power, layout = generalized_power(graph, m, args.s)
     _write(power, args.output, ".layout", lambda path: fileio.write_layout(layout, path))

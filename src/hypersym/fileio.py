@@ -46,9 +46,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
     integer tuples in C-level passes, up to the first line with a token
     that is not an integer, and the converted rows are built by the
     builder of `build_hypergraph`. Its error is reported at the line of
-    the edge it names (the error's `index`), or at the `vertices` line
-    for a bad header value. Only then is a line that is not all integers
-    reported, so the first faulty line wins.
+    the edge it names (the error's `index`), or at the line of the bad
+    header value: `uniform` for a uniformity below 2, else `vertices`.
+    Only then is a line that is not all integers reported, so the first
+    faulty line wins.
     """
     lines = text.splitlines()
     significant = _significant_lines(lines)
@@ -57,6 +58,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     except StopIteration:
         raise FileFormatError("empty file, expected 'uniform <m>' header", 1)
     uniformity = _header_value(line, number, "uniform")
+    uniform_number = number
     try:
         number, line = next(significant)
     except StopIteration:
@@ -75,7 +77,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     try:
         graph = _build(uniformity, vertex_count, rows)
     except ParameterError as err:
-        raise FileFormatError(str(err), number) from err
+        line_number = uniform_number if uniformity < 2 else number
+        raise FileFormatError(str(err), line_number) from err
     except HypergraphError as err:
         # `significant` resumes after the headers, at the first edge line
         number, _ = next(islice(significant, err.index, None))

@@ -191,23 +191,6 @@ def is_connected(graph: Hypergraph) -> bool:
     return merges == n - 1
 
 
-def has_isolated_vertex(graph: Hypergraph) -> bool:
-    """True iff some vertex lies in no edge.
-
-    k edges cover at most k*m vertices, so a larger vertex count answers
-    before any per-vertex state is built.
-    """
-    n = graph.vertex_count
-    if n > graph.edge_count * graph.uniformity:
-        return True
-    covered: set[int] = set()
-    for edge in graph.edges:
-        covered.update(edge)
-        if len(covered) == n:
-            return False
-    return True
-
-
 def incidence_matrix(graph: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """Edge-by-vertex 0/1 rows in canonical order; entry (e, v) = 1 iff v lies in e."""
     rows = []

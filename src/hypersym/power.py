@@ -22,9 +22,9 @@ from .families import DEFAULT_EDGE_BUDGET
 from .hypergraph import Hypergraph, _increasing, is_connected
 from .symmetry import Coloring, _index_generator, verify_coloring
 
-# The most vertex entries (edges times uniformity) a power may list, and
-# the most vertices n*s + k*(m - s*t) it may have. With every base vertex
-# in an edge, n <= k*t, so the vertex count is at most the entry count.
+# The most vertex entries (edges times uniformity) a power may list. Every
+# base vertex lies in an edge, so n <= k*t and the power's n*s + k*(m - s*t)
+# vertices are at most its k*m entries.
 ENTRY_BUDGET = 16 * DEFAULT_EDGE_BUDGET
 
 
@@ -67,25 +67,25 @@ def generalized_power(
 
     Blocks are laid out base-vertex blocks first (contiguous, in base
     vertex order), then edge blocks in canonical edge order, so the
-    construction is deterministic and reproducible. The power's edge
-    entries, k*m, and its vertices are counted first: past `ENTRY_BUDGET`
+    construction is deterministic and reproducible. A base vertex in no
+    edge would add only an isolated block, so such a base is refused
+    first, and one with more than k*t vertices before any set is built.
+    Then the power's edge entries, k*m, are counted: past `ENTRY_BUDGET`
     nothing is built.
     """
-    _check_power_parameters(graph, uniformity, blowup)
     t = graph.uniformity
+    n, k = graph.vertex_count, graph.edge_count
+    if n > k * t or len(set(chain.from_iterable(graph.edges))) < n:
+        raise DisconnectedError("power requires every vertex to lie in an edge")
+    _check_power_parameters(graph, uniformity, blowup)
     s = blowup
     m = uniformity
-    n, k = graph.vertex_count, graph.edge_count
     if k * m > ENTRY_BUDGET:
         raise BudgetExceededError(
             f"power has {k * m} edge entries ({k} edges of {m} vertices), "
             f"over the budget of {ENTRY_BUDGET}"
         )
     pad = m - s * t
-    if n * s + k * pad > ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"power has {n * s + k * pad} vertices, over the budget of {ENTRY_BUDGET}"
-        )
     vertex_blocks = tuple(
         tuple(range((v - 1) * s + 1, v * s + 1)) for v in range(1, n + 1)
     )

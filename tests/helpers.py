@@ -113,13 +113,19 @@ def parse_hypergraph_loop(text: str) -> Hypergraph:
     """`fileio.parse_hypergraph` one edge line at a time: each line is
     converted and handed to the builder's per-edge rules as it is read,
     so an error is about the line read last, or about the headers when
-    no edge line has been read yet."""
+    no edge line has been read yet. The uniformity is checked by the same
+    rules as soon as its line is read."""
     lines = _significant_lines(text.splitlines())
     try:
         number, line = next(lines)
     except StopIteration:
         raise FileFormatError("empty file, expected 'uniform <m>' header", 1)
     uniformity = _header_value(line, number, "uniform")
+    try:
+        # a vertex count the uniformity cannot fail, so only it is checked
+        _build_per_edge(uniformity, max(uniformity, 2), ())
+    except ParameterError as err:
+        raise FileFormatError(str(err), number) from err
     try:
         number, line = next(lines)
     except StopIteration:

@@ -341,9 +341,12 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
      "valid, max_deviation = 0.000e+00"),
     (["verify-coloring", "{hg}", "--coloring", "{col}", "--ell", "4"], 1,
      "invalid, max_deviation = 1.414e+00"),
+    # the refusal of a vertex in no edge, then the blow-up; a second base
+    # check would add a read
+    (["power", "{hg}", "--s", "2", "-o", "{out}"], 2, "wrote {out}.layout"),
 ], ids=[
     "analyze", "analyze-s2", "analyze-s3", "conjecture", "rho", "verify-valid",
-    "verify-invalid",
+    "verify-invalid", "power",
 ])
 def test_edge_reads_per_command(
     nikiforov_file, tmp_path, monkeypatch, capsys, command, reads, last_line
@@ -364,9 +367,10 @@ def test_edge_reads_per_command(
 
     monkeypatch.setattr("hypersym.fileio.read_hypergraph", counted)
     monkeypatch.setattr(CountedEdges, "reads", 0)
-    main([arg.format(hg=nikiforov_file, col=col, **powers) for arg in command])
+    paths = dict(hg=nikiforov_file, col=col, out=tmp_path / "out.hg", **powers)
+    main([arg.format(**paths) for arg in command])
     assert CountedEdges.reads == reads
-    assert capsys.readouterr().out.splitlines()[-1] == last_line
+    assert capsys.readouterr().out.splitlines()[-1] == last_line.format(**paths)
 
 
 def _run_counting_imports(argv):

@@ -86,10 +86,15 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_header_validation():
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError) as info:
         parse_hypergraph("uniform 1\nvertices 3\n")
-    with pytest.raises(FileFormatError):
+    assert str(info.value) == "line 1: uniformity must be >= 2, got 1"
+    with pytest.raises(FileFormatError) as info:
+        parse_hypergraph("# comment\nuniform 1\nvertices 3\n1\n")
+    assert info.value.line == 2
+    with pytest.raises(FileFormatError) as info:
         parse_hypergraph("uniform 3\nvertices 2\n")
+    assert str(info.value) == "line 2: vertex_count must be >= uniformity, got 2 < 3"
 
 
 def test_coloring_round_trip():
@@ -184,7 +189,9 @@ def test_parser_reports_the_builders_verdict_at_the_right_line(case, padding):
     else:
         with pytest.raises(FileFormatError) as info:
             parse_hypergraph(text)
-        assert info.value.line == (edge_line[bad] if bad >= 0 else 3)
+        # a bad uniformity is reported at the `uniform` line, a bad vertex
+        # count at the `vertices` line
+        assert info.value.line == (edge_line[bad] if bad >= 0 else 2 if m < 2 else 3)
 
 
 @settings(deadline=None)

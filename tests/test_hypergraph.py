@@ -4,6 +4,7 @@ import pytest
 
 import hypersym.hypergraph
 from hypersym import (
+    DisconnectedError,
     DuplicateEdgeError,
     EdgeSizeError,
     InternalConsistencyError,
@@ -11,10 +12,10 @@ from hypersym import (
     RepeatedVertexError,
     VertexRangeError,
     build_hypergraph,
+    generalized_power,
     incidence_matrix,
     is_connected,
 )
-from hypersym.hypergraph import has_isolated_vertex
 
 from helpers import closure_connected, random_connected_hypergraph, random_hypergraph
 
@@ -94,15 +95,27 @@ def test_connectivity_matches_transitive_closure():
         assert is_connected(h) == closure_connected(h)
 
 
+def _power_refused(g) -> bool:
+    """True iff `generalized_power` refuses `g` as having a vertex in no edge."""
+    try:
+        generalized_power(g, 2 * g.uniformity, 2)
+    except DisconnectedError as err:
+        assert str(err) == "power requires every vertex to lie in an edge"
+        return True
+    return False
+
+
 def test_isolated_vertex_matches_edge_union():
+    # the power refuses a base exactly when its edges miss a vertex
     rng = random.Random(103)
     for _ in range(200):
         g = random_hypergraph(rng, rng.choice([2, 3, 4]), n_max=8)
         covered = {v for edge in g.edges for v in edge}
-        assert has_isolated_vertex(g) == (covered != set(range(1, g.vertex_count + 1)))
-    assert has_isolated_vertex(build_hypergraph(2, 2, []))
-    assert has_isolated_vertex(build_hypergraph(2, 10**12, [[1, 2]]))
-    assert not has_isolated_vertex(build_hypergraph(2, 4, [[1, 2], [3, 4]]))
+        assert _power_refused(g) == (covered != set(range(1, g.vertex_count + 1)))
+    assert _power_refused(build_hypergraph(2, 2, []))
+    # n > k*t answers before any per-vertex set is built
+    assert _power_refused(build_hypergraph(2, 10**12, [[1, 2]]))
+    assert not _power_refused(build_hypergraph(2, 4, [[1, 2], [3, 4]]))
 
 
 def test_incidence_triangle():

@@ -196,10 +196,16 @@ def test_span_basis_matches_dense_oracle_on_random_incidences(t):
     rng = random.Random(500 + t)
     for _ in range(30):
         base = random_hypergraph(rng, t, n_max=t + 5)
-        # the blow-up has twin columns, one class per base vertex
-        for g in (base, generalized_power(base, 2 * t, 2)[0]):
+        graphs = [base]
+        if {v for edge in base.edges for v in edge} == set(range(1, base.vertex_count + 1)):
+            # the blow-up has twin columns, one class per base vertex
+            graphs.append(generalized_power(base, 2 * t, 2)[0])
+        for g in graphs:
+            # two zero columns past the last vertex, so that twin classes
+            # and zero columns meet in every case
+            dense = [row + (0, 0) for row in incidence_matrix(g)]
             for q in (t, 2 * t, 3 * t):
-                _assert_same_basis(rng, q, g.vertex_count, g.edges, None, incidence_matrix(g))
+                _assert_same_basis(rng, q, g.vertex_count + 2, g.edges, None, dense)
 
 
 def test_span_basis_matches_dense_oracle_on_family_and_power():

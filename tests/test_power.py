@@ -91,12 +91,12 @@ def test_power_entry_budget_boundary(monkeypatch):
     monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 15)
     with pytest.raises(BudgetExceededError, match="over the budget of 15"):
         generalized_power(cycle(4), 4, 2)
-    # one edge of 4 entries, but a vertex block for every declared vertex
+    # one edge of 4 entries and vertices in no edge: refused before any
+    # budget, so no vertex count can pass the entry count
     monkeypatch.setattr(hypersym.power, "ENTRY_BUDGET", 16)
-    with pytest.raises(BudgetExceededError, match="18 vertices"):
-        generalized_power(build_hypergraph(2, 9, [(1, 2)]), 4, 2)
-    power, _ = generalized_power(build_hypergraph(2, 8, [(1, 2)]), 4, 2)
-    assert power.vertex_count == 16
+    for n in (9, 8):
+        with pytest.raises(DisconnectedError, match="every vertex to lie in an edge"):
+            generalized_power(build_hypergraph(2, n, [(1, 2)]), 4, 2)
 
 
 def test_power_entry_budget_refuses_before_building():
