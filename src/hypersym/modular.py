@@ -113,30 +113,32 @@ class _SpanBasis:
     zeros. Callers pass program-built data; `ModMatrix` is the checked
     entry point for anything else.
 
-    Built by gcd-pivot row reduction over Z_m applied to the transposed
-    matrix, with one extra rule that makes membership testing complete
-    for composite moduli: whenever a pivot p is placed, the annihilator
-    multiple (m // p) * row is appended to the working set. Those extra
-    rows capture the combinations that vanish at the pivot but not later,
+    Built by row reduction over Z_m applied to the transposed matrix,
+    with one extra rule that makes membership testing complete for
+    composite moduli: whenever a pivot p is placed, the annihilator
+    multiple (m // p) * row joins the working set. Those extra rows
+    capture the combinations that vanish at the pivot but not later,
     exactly the ambiguity a greedy reduction must be able to absorb
-    (Howell's canonical-form construction).
+    (Howell's canonical-form construction). So the pivot positions and
+    each pivot value, the gcd with m of the entries there of the span
+    vectors that are zero before it, are canonical; the pivot rows
+    depend on the order the rows are folded in.
 
     A working row is a column combination A c, and it is stored only as
     its coefficient vector c: a leading slot 0 that is always 0 and then
     one entry per column, so a row of A indexes it directly, as
-    `verify_coloring` indexes `(0, *values)`. Slot 0 never gets a working
-    row of its own: slot order is part of the pivot choice. The entry
-    (A c)[pos] is evaluated when needed, so no length-k vector is ever
-    built: `terms[pos]` maps c to its terms; a 0/1 row gathers its
+    `verify_coloring` indexes `(0, *values)`. The entry (A c)[pos] is
+    evaluated when needed, so no length-k vector is ever built:
+    `terms[pos]` maps c to its terms; a 0/1 row gathers its
     coefficients with one `itemgetter`, a weighted row multiplies each
     coefficient by its weight, so an entry a costs one product, not a
-    copies of a column. Each unplaced row caches its first nonzero
-    position and the entry there, found by evaluating the positions in
-    order. One `min` takes as pivot the row with the smallest cached
-    position, then the least gcd of its entry with m, then the lowest
-    slot; the reduction rescans only the rows it changed. Each pivot
-    keeps its coefficient vector, so reducing a target to zero also
-    yields a solution x with A x = target.
+    copies of a column. Each working row is filed under its first
+    nonzero position, found by evaluating the positions in order, and a
+    row that is zero at every position is dropped. At the smallest
+    filed position the first row becomes the pivot and every other row
+    there folds into it, then is filed again from the next position.
+    Each pivot keeps its coefficient vector, so reducing a target to
+    zero also yields a solution x with A x = target.
     """
 
     def __init__(
@@ -157,28 +159,23 @@ class _SpanBasis:
                 lambda coef, cols=cols, ws=ws: map(mul, ws, map(coef.__getitem__, cols))
                 for cols, ws in zip(rows, weights)
             ]
-        # Working rows [next nonzero position, entry there, coefficients];
-        # unplaced rows are zero at every position already passed, and a
-        # row that is zero everywhere keeps position k and its slot, since
-        # the swaps below make the slot order part of the pivot choice.
-        work: list[list] = []
+        # Working rows by first nonzero position: (entry there, coefficients).
+        pending: dict[int, list[tuple[int, list[int]]]] = {}
+
+        def add(coef: list[int], start: int) -> None:
+            pos, value = self._scan(coef, start)
+            if pos < k:
+                pending.setdefault(pos, []).append((value, coef))
+
         for j in range(1, width + 1):
             coef = [0] * (width + 1)
             coef[j] = 1
-            work.append([*self._scan(coef, 0), coef])
-        placed = 0
+            add(coef, 0)
         self.pivots: dict[int, tuple[int, list[int]]] = {}
-        while placed < len(work):
-            best = min(range(placed, len(work)), key=lambda i: (work[i][0], gcd(work[i][1], m), i))
-            pos = work[best][0]
-            if pos == k:
-                break
-            work[placed], work[best] = work[best], work[placed]
-            _, a, pcoef = work[placed]
-            for i in range(placed + 1, len(work)):
-                nxt, c, coef = work[i]
-                if nxt != pos:
-                    continue
+        while pending:
+            pos = min(pending)
+            (a, pcoef), *rest = pending.pop(pos)
+            for c, coef in rest:
                 g, s, t = _xgcd(a, c)
                 u, v = a // g, c // g
                 # det [[s, t], [-v, u]] = (s*a + t*c)/g = 1: invertible over Z_m.
@@ -188,21 +185,16 @@ class _SpanBasis:
                     [(u * y - v * x) % m for x, y in zip(pcoef, coef)],
                 )
                 a = g
-                work[i] = [*self._scan(coef, pos + 1), coef]
+                add(coef, pos + 1)
             unit = _unit_for(a, m)
             pcoef = [(unit * x) % m for x in pcoef]
             p = (unit * a) % m
             self.pivots[pos] = (p, pcoef)
-            placed += 1
-            # The annihilator row is zero up to pos; a unit pivot gives the
-            # zero coefficient vector, and one that is zero past pos too
-            # would never be a candidate, so neither joins the working set.
-            ann = m // p
-            acoef = [(ann * x) % m for x in pcoef]
+            # A unit pivot's annihilator row is the zero vector, which the
+            # scan would evaluate at every later position to drop.
+            acoef = [(m // p * x) % m for x in pcoef]
             if any(acoef):
-                nxt, value = self._scan(acoef, pos + 1)
-                if nxt < k:
-                    work.append([nxt, value, acoef])
+                add(acoef, pos + 1)
 
     def _scan(self, coef: list[int], start: int) -> tuple[int, int]:
         """First position >= start where A coef is nonzero, with its entry;

@@ -7,8 +7,9 @@ loops that the spectral array kernels replaced are kept here too, as
 oracles for the plain-Python kernels (bit-exact where the arithmetic is
 the same), with the power iteration on every vertex that the
 equitable-partition quotient replaced, and so is the dense-vector span
-basis that the coefficient-only `_SpanBasis` replaced. Its `express`
-is the plain membership query, None off the span; `_SpanBasis.express`
+basis that the coefficient-only `_SpanBasis` replaced, with the gcd
+pivot rule that `_SpanBasis` dropped. Its `express` is the plain
+membership query, None off the span; `_SpanBasis.express`
 is the one walk that also scales. The per-divisor route, one query per
 divisor, is the oracle for the sampled all-ones walk that
 `symmetry._index_generator` runs per modulus. The streaming reader that
@@ -336,11 +337,15 @@ def is_bipartite_bfs(graph: Hypergraph) -> bool:
 class DenseSpanBasis:
     """The span basis with every working row carried as a full length-k vector.
 
-    Same pivot rule, swaps, elimination order, 2x2 unimodular transforms
-    and annihilator rows as `hypersym.modular._SpanBasis`, which keeps
-    coefficient vectors only; its pivots must equal these, and so must
-    its `express` solution whenever this `express` finds one. Takes the
-    dense rows of A, entries in [0, m).
+    An elimination order of its own: at each position the row with the
+    least gcd of its entry with m, then the lowest slot, is swapped into
+    place as the pivot, and the later rows fold into it, with the same
+    2x2 unimodular transforms and annihilator rows as
+    `hypersym.modular._SpanBasis`, which keeps coefficient vectors only
+    and folds in filing order. Pivot positions and pivot values are
+    canonical, so that basis must have the same ones; the pivot rows and
+    `express` solutions may differ. Takes the dense rows of A, entries
+    in [0, m).
     """
 
     def __init__(self, modulus, rows):

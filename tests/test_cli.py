@@ -326,9 +326,10 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
     # connectivity and the proof pass of the all-ones walk over Z_4; every
     # witness is a multiple of that walk's x and reads no edge
     (["analyze", "{hg}"], 2, "cyclic_index = 2"),
-    # on the s=2 power, whose walk over Z_8 needs a second round
-    (["analyze", "{hg2}"], 3, "cyclic_index = 2"),
-    # on the s=3 power, also in two rounds, with orders 2, 3 and 6 solvable
+    # on the s=2 power, whose walk over Z_8 is proved in its first round
+    (["analyze", "{hg2}"], 2, "cyclic_index = 2"),
+    # on the s=3 power, whose walk needs a second round, with orders 2, 3
+    # and 6 solvable
     (["analyze", "{hg3}"], 3, "cyclic_index = 6"),
     # connectivity and the proof passes of the walks over Z_4 and Z_8
     (["conjecture", "{hg}", "--s", "2"], 3,
@@ -597,7 +598,7 @@ def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, 
 # stdout and exit code of each command on the (6,6,4) family and its s=2
 # power, and on the (12,12,8) family (and its s=2 power for `rho`, the
 # inputs of the benchmark's spectral workload); the witness colorings pin the
-# all-ones walk's pivot choices. With `nikiforov`'s own labels the
+# pivot rows of the all-ones walk's basis. With `nikiforov`'s own labels the
 # (12,12,8) walks over Z_4, Z_8 and Z_12 each grow their 65-edge sample
 # to 130 edges once, so those lines pin the sample growth too
 GOLDEN_FAMILY_OUTPUT = [
@@ -606,7 +607,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 16\n"
         "edges 420\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 0 0 0 0 0 2 2 2 2 2 2 3 3 3 3\n"
+        "l = 2: solvable, coloring = 1 1 1 1 1 1 3 3 3 3 3 3 0 0 0 0\n"
         "l = 4: unsolvable\n"
         "cyclic_index = 2\n"
     )),
@@ -633,7 +634,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 32\n"
         "edges 420\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 4 4 0 0 4 0 4 0 4 0 4 4 4 0 0 0 0 0 0 0 0 0 0 0 2 6 4 0 2 2 0\n"
+        "l = 2: solvable, coloring = 0 6 2 4 4 2 0 6 0 6 0 6 6 4 0 2 6 4 0 2 0 2 0 2 0 0 0 0 0 0 0 0\n"
         "l = 4: unsolvable\n"
         "l = 8: unsolvable\n"
         "cyclic_index = 2\n"
@@ -681,7 +682,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 32\n"
         "edges 8976\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 2 2 2 2 2 2 2 2 2 2 2 2 0 0 0 0 0 0 0 0 0 0 0 0 3 3 3 3 3 3 3 3\n"
+        "l = 2: solvable, coloring = 3 3 3 3 3 3 3 3 3 3 3 3 1 1 1 1 1 1 1 1 1 1 1 1 0 0 0 0 0 0 0 0\n"
         "l = 4: unsolvable\n"
         "cyclic_index = 2\n"
     )),
@@ -743,7 +744,8 @@ def test_pinned_rho_is_the_per_edge_iteration_within_tolerance(graph, stdout):
 
 # `analyze` on two blow-ups whose blocks are twin vertices: the s=3 power
 # of K6 has its basis built on every edge, the s=4 power of K40 (780 >= 4n
-# edges) on a sample; the witnesses pin the all-ones walk's pivot choices
+# edges) on a sample; the witnesses pin the pivot rows of the all-ones
+# walk's basis
 GOLDEN_TWIN_POWER_OUTPUT = {
     (6, 3): (
         "uniform 6\n"
@@ -751,7 +753,7 @@ GOLDEN_TWIN_POWER_OUTPUT = {
         "edges 15\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
         "l = 2: unsolvable\n"
-        "l = 3: solvable, coloring = 0 0 4 2 0 2 2 0 2 2 0 2 2 0 2 2 0 2\n"
+        "l = 3: solvable, coloring = 0 0 4 2 0 2 0 0 4 0 0 4 0 0 4 0 0 4\n"
         "l = 6: unsolvable\n"
         "cyclic_index = 3\n"
     ),
@@ -764,16 +766,16 @@ GOLDEN_TWIN_POWER_OUTPUT = {
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 6 0 0 4 6 "
-        "0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 "
-        "0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 "
-        "2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 0 4 0 0 0 2 6 0 "
-        "0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4 6 0 0 4\n"
-        "l = 4: solvable, coloring = 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 3 0 0 2 3 "
-        "0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 "
-        "0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 "
-        "5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 0 2 0 0 0 5 3 0 "
-        "0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2 3 0 0 2\n"
+        "l = 2: solvable, coloring = 0 0 0 2 6 0 0 4 0 0 0 2 0 0 0 2 6 0 0 4 0 "
+        "0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 "
+        "0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 "
+        "2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 "
+        "0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2\n"
+        "l = 4: solvable, coloring = 0 0 0 5 3 0 0 2 0 0 0 5 0 0 0 5 3 0 0 2 0 "
+        "0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 "
+        "0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 "
+        "5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 "
+        "0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5\n"
         "l = 8: unsolvable\n"
         "cyclic_index = 4\n"
     ),

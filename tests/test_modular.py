@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+import tracemalloc
 
 import pytest
 
@@ -12,11 +12,13 @@ from hypersym import (
     NikiforovParams,
     ParameterError,
     build_hypergraph,
+    cycle,
     divisors,
     generalized_power,
     incidence_matrix,
     mat_vec_mod,
     nikiforov,
+    path,
     solve_linear_mod,
 )
 from hypersym.modular import _SpanBasis
@@ -153,42 +155,53 @@ def test_entries_near_a_large_modulus_solve_at_once():
     assert solve_linear_mod(ModMatrix(m, [[m - 1]]), [7]) == (m - 7,)
 
 
+def _image(dense, x, modulus):
+    return [sum(e * v for e, v in zip(row, x)) % modulus for row in dense]
+
+
 def _assert_same_basis(rng, modulus, width, rows, weights, dense):
-    """Coefficient-only basis against the dense-vector oracle: the same
-    pivots in the same order. For every divisor target (all-ones among
-    them), random target and target with a planted solution, the walk
-    solves A x = a * target; a = 1 exactly when the oracle expresses the
-    target, and x is then the oracle's solution; gcd(a, m) is the least
-    divisor d of m whose d * target the oracle expresses. `rows` number
-    columns from 1, and every coefficient vector has a leading zero slot
-    that the oracle's lacks."""
-    new = _SpanBasis(modulus, width, rows, weights)
+    """Coefficient-only basis against the dense-vector oracle, whose pivot
+    rule and elimination order differ: the same pivot positions in the
+    same order and the same pivot values, each pivot row zero before its
+    position. For every divisor target (all-ones among them), random
+    target and target with a planted solution, the walk solves
+    A x = a * target; a = 1 exactly when the oracle expresses the target,
+    and a is the least divisor d of m whose d * target the oracle
+    expresses, or 0 when that is m. The same holds for the matrix with
+    its columns in reverse order, checked against the oracle on the
+    original order. `rows` number columns from 1, and every coefficient
+    vector has a leading zero slot that the oracle's lacks."""
     old = DenseSpanBasis(modulus, dense)
-    assert list(new.pivots) == list(old.pivots)
-    for pos, (p, pcoef) in new.pivots.items():
-        old_p, _, old_pcoef = old.pivots[pos]
-        assert (p, pcoef) == (old_p, [0, *old_pcoef])
     k = len(dense)
     targets = [[modulus // ell] * k for ell in divisors(modulus)]
     for _ in range(3):
         targets.append([rng.randrange(modulus) for _ in range(k)])
         x = [rng.randrange(modulus) for _ in range(width)]
-        targets.append([sum(a * v for a, v in zip(row, x)) % modulus for row in dense])
-    for target in targets:
-        a, x = new.express(target)
-        assert x[0] == 0
-        assert [sum(e * v for e, v in zip(row, x[1:])) % modulus for row in dense] == [
-            a * w % modulus for w in target
-        ]
-        expected = old.express(target)
-        assert (a == 1) == (expected is not None)
-        if a == 1:
-            assert x == [0, *expected]
-        least = next(
-            d for d in divisors(modulus)
-            if old.express([d * w for w in target]) is not None
+        targets.append(_image(dense, x, modulus))
+    expected = [
+        (
+            old.express(target) is not None,
+            next(
+                d for d in divisors(modulus)
+                if old.express([d * w for w in target]) is not None
+            ),
         )
-        assert gcd(a, modulus) == least
+        for target in targets
+    ]
+    flipped = [[width + 1 - j for j in cols] for cols in rows]
+    for cols, matrix in ((rows, dense), (flipped, [row[::-1] for row in dense])):
+        new = _SpanBasis(modulus, width, cols, weights)
+        assert list(new.pivots) == list(old.pivots)
+        for pos, (p, pcoef) in new.pivots.items():
+            assert p == old.pivots[pos][0]
+            assert pcoef[0] == 0
+            assert _image(matrix, pcoef[1:], modulus)[: pos + 1] == [0] * pos + [p]
+        for target, (in_span, least) in zip(targets, expected):
+            a, x = new.express(target)
+            assert x[0] == 0
+            assert _image(matrix, x[1:], modulus) == [a * w % modulus for w in target]
+            assert (a == 1) == in_span
+            assert a == least % modulus
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
@@ -230,6 +243,22 @@ def test_span_basis_matches_dense_oracle_on_random_matrices():
         cols = [[j for j, a in enumerate(row, 1) if a] for row in dense]
         weights = [[row[j - 1] for j in c] for row, c in zip(dense, cols)]
         _assert_same_basis(rng, m, n, cols, weights, dense)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("family", [path, cycle])
+def test_span_basis_holds_one_coefficient_vector_per_column(family, q):
+    # n columns of n + 1 slots each: a row that folds into a pivot or
+    # becomes one leaves no second copy of its coefficients behind
+    g = family(800)
+    n = g.vertex_count
+    tracemalloc.start()
+    try:
+        _SpanBasis(q, n, g.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * (n + 1) * 8
 
 
 @pytest.mark.parametrize("modulus", [8, 16])

@@ -210,12 +210,12 @@ def _assert_verdicts_match_oracle(graph):
 def test_walk_witness_may_differ_from_the_per_divisor_witness():
     # the l = 2 witness is 2 times the walk's x, not the oracle's own
     # solution of B x = 2 * 1; both verify
-    rows = "1237 2456 2468 2578 2689 3459 3467 5689".split()
+    rows = "1267 1289 1346 1349 1458 1679 2467 3456".split()
     graph = build_hypergraph(4, 9, [[int(v) for v in row] for row in rows])
     _assert_verdicts_match_oracle(graph)
-    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 0, 2, 2, 0, 0, 2, 0, 2))
+    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 2, 0, 2, 2, 2, 0, 0, 2))
     assert per_divisor_report(graph, 4).divisor_evidence[2] == Coloring(
-        4, (2, 0, 2, 0, 0, 2, 2, 0, 0)
+        4, (0, 2, 0, 0, 0, 2, 2, 2, 2)
     )
 
 
