@@ -38,7 +38,7 @@ from .hypergraph import (
     incidence_matrix,
     is_connected,
 )
-from .modular import ModMatrix, mat_vec_mod, solve_linear_mod
+from .modular import ModMatrix, solve_linear_mod
 from .power import (
     ConjectureReport,
     PowerLayout,
@@ -57,7 +57,6 @@ from .symmetry import (
     SymmetryReport,
     cyclic_index,
     divisors,
-    is_l_symmetric,
     verify_coloring,
 )
 
@@ -97,8 +96,6 @@ __all__ = [
     "generalized_power",
     "incidence_matrix",
     "is_connected",
-    "is_l_symmetric",
-    "mat_vec_mod",
     "nikiforov",
     "nikiforov_coloring",
     "path",

@@ -59,17 +59,6 @@ class ModMatrix(_Checked, _ModMatrixFields):
         return len(self.entries[0])
 
 
-def mat_vec_mod(matrix: ModMatrix, vector: Sequence[int]) -> tuple[int, ...]:
-    """Exact product A x reduced mod m, with x read mod m."""
-    if matrix.cols != len(vector):
-        raise DimensionMismatchError(
-            f"matrix has {matrix.cols} columns, vector has {len(vector)} entries"
-        )
-    m = matrix.modulus
-    x = [int(e) % m for e in vector]
-    return tuple(sum(a * b for a, b in zip(row, x)) % m for row in matrix.entries)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a, b) and s*a + t*b = g."""
     old_r, r = a, b
@@ -267,7 +256,8 @@ def solve_linear_mod(matrix: ModMatrix, rhs: Sequence[int]) -> Optional[tuple[in
     a, x = _SpanBasis(m, matrix.cols, cols, weights).express(b)
     if a != 1:
         return None
-    witness = tuple(x[1:])
-    if mat_vec_mod(matrix, witness) != b:
+    # x[0] is the zero slot, so the 1-based columns index x directly
+    image = tuple(sum(map(mul, ws, map(x.__getitem__, c))) % m for c, ws in zip(cols, weights))
+    if image != b:
         raise InternalConsistencyError("solver produced a non-solution")
-    return witness
+    return tuple(x[1:])

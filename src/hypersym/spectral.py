@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from math import cos, inf, isfinite, isnan, nan, pi, sin, sqrt
+from math import inf, isfinite, isnan, nan, pi, sin, sqrt
 from operator import add, mul
 from typing import NamedTuple
 
@@ -47,16 +47,16 @@ class SpectralEstimate(NamedTuple):
 
 
 class SimilarityCertificate(NamedTuple):
-    """Numerical witness that phases rotate the tensor onto itself.
+    """Numerical witness that the coloring's diagonal phase matrix turns
+    the tensor by exp(i 2 pi / l).
 
     `max_deviation` is the largest distance from 1 of
-    rotation^-1 * d_i^-(m-1) * prod_{j in e, j != i} d_j over all edges e
-    and all leading vertices i; it is exactly 0.0 for a valid coloring.
+    exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j, with
+    d_v = exp(i 2 pi phi(v) / m), over all edges e and all leading
+    vertices i; it is exactly 0.0 for a valid coloring.
     """
 
     modulus: int
-    phases: tuple[complex, ...]
-    rotation: complex
     max_deviation: float
 
 
@@ -232,7 +232,7 @@ def power_iteration_rho(
 def verify_similarity(
     graph: Hypergraph, coloring: Coloring, symmetry_order: int
 ) -> SimilarityCertificate:
-    """Certify spectrum rotation by the coloring's diagonal phase matrix.
+    """Certify that the coloring's diagonal phase matrix turns the spectrum by 2 pi / l.
 
     Maps each color to the unit phase d_v = exp(i 2 pi phi(v) / m). As
     d_i^m = 1, the entry exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
@@ -242,18 +242,10 @@ def verify_similarity(
     exactly 0.0 when every edge sums to m/l, and positive otherwise.
     """
     m = _check_order(graph, symmetry_order, coloring)
-    # exp(2j * pi * v / m) as the array library rounds it: the angle times 1/m
-    step = 1.0 / m
     # edges are 1-based; a leading 0 puts vertex v's color at index v
     residues = _residues(graph.edges, (0, *coloring.values), m, m // symmetry_order)
     return SimilarityCertificate(
         modulus=m,
-        phases=tuple(_unit(2 * pi * v * step) for v in coloring.values),
-        rotation=_unit(2 * pi / symmetry_order),
         max_deviation=max((2 * sin(pi * min(r, m - r) / m) for r in residues if r), default=0.0),
     )
 
-
-def _unit(theta: float) -> complex:
-    """exp(i theta), as the array library's complex exp computes it at real part 0."""
-    return complex(cos(theta), sin(theta))

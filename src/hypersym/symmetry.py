@@ -57,22 +57,19 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def _check_order(
-    graph: Hypergraph, symmetry_order: int, coloring: Optional[Coloring] = None
-) -> int:
-    """Return the uniformity m after checking that l divides m and, when a
-    coloring is given, that it is a map from the vertices into Z_m."""
+def _check_order(graph: Hypergraph, symmetry_order: int, coloring: Coloring) -> int:
+    """Return the uniformity m after checking that the coloring is a map
+    from the vertices into Z_m and that l divides m."""
     m = graph.uniformity
-    if coloring is not None:
-        if coloring.modulus != m:
-            raise ModulusMismatchError(
-                f"coloring modulus {coloring.modulus} != uniformity {m}"
-            )
-        if len(coloring.values) != graph.vertex_count:
-            raise DimensionMismatchError(
-                f"coloring has {len(coloring.values)} values for "
-                f"{graph.vertex_count} vertices"
-            )
+    if coloring.modulus != m:
+        raise ModulusMismatchError(
+            f"coloring modulus {coloring.modulus} != uniformity {m}"
+        )
+    if len(coloring.values) != graph.vertex_count:
+        raise DimensionMismatchError(
+            f"coloring has {len(coloring.values)} values for "
+            f"{graph.vertex_count} vertices"
+        )
     if symmetry_order < 1 or m % symmetry_order:
         raise ParameterError(f"{symmetry_order} does not divide uniformity {m}")
     return m
@@ -100,51 +97,25 @@ def _residues(rows, values, modulus: int, target: int) -> set[int]:
     return {(sum(map(get, row)) - target) % modulus for row in rows}
 
 
-def is_l_symmetric(graph: Hypergraph, symmetry_order: int) -> Optional[Coloring]:
-    """Witness coloring if the spectrum is rotation-symmetric of order l.
-
-    Decides solvability of B x = (m/l) * 1 over Z_m exactly; returns None
-    only when no coloring exists.
-    """
-    _check_order(graph, symmetry_order)
-    return _evidence(graph, [symmetry_order])[symmetry_order]
-
-
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:
     """Largest l with rotation-symmetric spectrum, over all divisors of m.
 
-    Every divisor l of m is decided and recorded: l is solvable exactly
-    when the generator g that `_index_generator` returns divides m/l, so
-    divisor closure holds by construction and the index is m/g.
-    """
-    evidence = _evidence(graph, divisors(graph.uniformity))
-    return SymmetryReport(max(l for l, w in evidence.items() if w is not None), evidence)
-
-
-def _evidence(graph: Hypergraph, orders) -> dict[int, Optional[Coloring]]:
-    """For a connected graph, each order l in `orders`, all dividing m,
-    mapped to its witness or None.
-
-    Every witness is u * x for the proved B x = g * 1 of
-    `_index_generator`: order l is solvable exactly when g divides m/l,
-    and then u = (m/l)/g mod m/g gives u * g = m/l (mod m), so
-    B (u x) = (m/l) * 1 by linearity and no witness reads the edges.
-    Order 1 has u = 0, so when no order above 1 is asked for there is no
-    walk: x = 0 and g = m prove as much.
+    Every divisor l of m is decided and recorded from the proved
+    B x = g * 1 of `_index_generator`: l is solvable exactly when g
+    divides m/l, so divisor closure holds by construction and the index
+    is m/g. Then u = (m/l)/g mod m/g gives u * g = m/l (mod m), so the
+    witness u * x has B (u x) = (m/l) * 1 by linearity and reads no edge.
     """
     if not is_connected(graph):
         raise DisconnectedError("cyclic index requires a connected hypergraph")
     m = graph.uniformity
-    if max(orders) > 1:
-        g, x = _index_generator(graph, m)
-    else:
-        g, x = m, [0] * (graph.vertex_count + 1)
+    g, x = _index_generator(graph, m)
     evidence: dict[int, Optional[Coloring]] = {}
-    for ell in orders:
+    for ell in divisors(m):
         b = m // ell
         u = b // g % (m // g)
         evidence[ell] = None if b % g else Coloring(m, (u * v for v in x[1:]))
-    return evidence
+    return SymmetryReport(m // g, evidence)
 
 
 def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:

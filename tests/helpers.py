@@ -14,7 +14,8 @@ is the one walk that also scales. The per-divisor route, one query per
 divisor, is the oracle for the sampled all-ones walk that
 `symmetry._index_generator` runs per modulus. The streaming reader that
 the whole-list passes replaced is the oracle for `parse_hypergraph`.
-The block-constant and single-member lifts, the uncapped edge count of
+The dense product `mat_vec_mod`, which checks the solver's witnesses,
+the block-constant and single-member lifts, the uncapped edge count of
 the three-class family and `apply_adjacency`, the contraction kernel on
 a graph with every vertex its own cell, live here because only the
 tests use them. `CountedEdges` counts the passes a function makes over
@@ -44,6 +45,12 @@ from hypersym.fileio import _header_value, _significant_lines
 from hypersym.hypergraph import _build_per_edge
 from hypersym.modular import _SpanBasis, _unit_for, _xgcd
 from hypersym.spectral import _contract
+
+
+def mat_vec_mod(matrix, vector) -> tuple[int, ...]:
+    """Dense product A x reduced mod m, one row of `matrix` at a time."""
+    m = matrix.modulus
+    return tuple(sum(a * int(v) for a, v in zip(row, vector)) % m for row in matrix.entries)
 
 
 def enumeration_solvable(entries, rhs, modulus) -> bool:

@@ -4,7 +4,6 @@ import tracemalloc
 
 import pytest
 
-import hypersym.modular
 from hypersym import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -16,14 +15,13 @@ from hypersym import (
     divisors,
     generalized_power,
     incidence_matrix,
-    mat_vec_mod,
     nikiforov,
     path,
     solve_linear_mod,
 )
 from hypersym.modular import _SpanBasis
 
-from helpers import DenseSpanBasis, enumeration_solvable, random_hypergraph
+from helpers import DenseSpanBasis, enumeration_solvable, mat_vec_mod, random_hypergraph
 
 
 def solves(matrix: ModMatrix, x, rhs) -> bool:
@@ -35,22 +33,8 @@ def test_entries_reduced_on_construction():
     assert a.entries == ((2, 3), (0, 1))
 
 
-def test_mat_vec_examples():
-    a = ModMatrix(2, [[1, 1], [0, 1]])
-    assert mat_vec_mod(a, [1, 1]) == (0, 1)
-    ident = ModMatrix(7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    for trial in range(5):
-        b = (trial, trial + 2, 6 - trial)
-        assert mat_vec_mod(ident, b) == b
-    assert mat_vec_mod(ModMatrix(4, [[2, 3]]), [1, 2]) == (0,)
-    # the vector is read mod m
-    assert mat_vec_mod(ModMatrix(5, [[1, 0], [0, 1]]), [7, -2]) == (2, 3)
-
-
 def test_mismatch_errors():
     a = ModMatrix(4, [[1, 2]])
-    with pytest.raises(DimensionMismatchError):
-        mat_vec_mod(a, [1, 2, 3])
     with pytest.raises(DimensionMismatchError):
         solve_linear_mod(a, [1, 2])
     with pytest.raises(ParameterError):
@@ -71,9 +55,17 @@ def test_solve_single_entry():
 
 def test_solver_self_check_raises_on_a_non_solution(monkeypatch):
     a = ModMatrix(2, [[1, 1], [0, 1]])
-    monkeypatch.setattr(hypersym.modular, "mat_vec_mod", lambda *args: (0, 0))
+    monkeypatch.setattr(_SpanBasis, "express", lambda self, target: (1, [0, 0, 0]))
     with pytest.raises(InternalConsistencyError, match=r"^solver produced a non-solution$"):
         solve_linear_mod(a, [1, 1])
+
+
+def test_solver_self_check_reads_the_weights(monkeypatch):
+    # x = 2 solves x = 2 but not 2x = 2 (mod 5): a check that read the
+    # entry 2 as a 0/1 incidence would pass it
+    monkeypatch.setattr(_SpanBasis, "express", lambda self, target: (1, [0, 2]))
+    with pytest.raises(InternalConsistencyError, match=r"^solver produced a non-solution$"):
+        solve_linear_mod(ModMatrix(5, [[2]]), [2])
 
 
 def test_triangle_mod2_unsolvable():

@@ -69,8 +69,8 @@ RECORDS = [
         id="SpectralEstimate",
     ),
     pytest.param(
-        SimilarityCertificate, ("modulus", "phases", "rotation", "max_deviation"),
-        (2, VECTOR, -1 + 0j, 0.0), (2, VECTOR, -1 + 0j, 0.0), 4, None,
+        SimilarityCertificate, ("modulus", "max_deviation"),
+        (2, 0.0), (2, 0.0), 2, None,
         id="SimilarityCertificate",
     ),
 ]

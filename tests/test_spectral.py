@@ -439,15 +439,3 @@ def test_similarity_deviation_is_zero_exactly_when_the_coloring_verifies():
                 deviation = verify_similarity(g, coloring, ell).max_deviation
                 assert verify_coloring(g, coloring, ell) == (r == 0) == (deviation == 0.0)
                 assert abs(deviation - similarity_deviation_loop(g, coloring, ell)) <= tolerance
-
-
-def test_similarity_certificate_phases_and_rotation():
-    params, base, _, _ = _family_and_power()
-    coloring = nikiforov_coloring(params)
-    cert = verify_similarity(base, coloring, 2)
-    assert cert.modulus == 4
-    assert type(cert.phases) is tuple
-    assert all(type(phase) is complex for phase in cert.phases)
-    want = np.exp(2j * np.pi * np.array(coloring.values) / 4)
-    assert cert.phases == tuple(want.tolist())
-    assert cert.rotation == complex(np.exp(2j * np.pi / 2))

@@ -21,7 +21,6 @@ from hypersym import (
     cyclic_index,
     divisors,
     is_connected,
-    is_l_symmetric,
     nikiforov,
     single_edge,
     verify_coloring,
@@ -64,38 +63,20 @@ def test_verify_coloring_errors():
 
 
 def test_witness_square_cycle():
-    witness = is_l_symmetric(cycle(4), 2)
+    witness = cyclic_index(cycle(4)).divisor_evidence[2]
     assert witness is not None
     assert verify_coloring(cycle(4), witness, 2)
 
 
 def test_triangle_has_no_order2_witness():
     assert enumeration_symmetric(cycle(3), 2) is False
-    assert is_l_symmetric(cycle(3), 2) is None
-
-
-def test_order_one_needs_no_walk(monkeypatch):
-    def refused(graph, modulus):
-        raise AssertionError("order 1 walked")
-
-    monkeypatch.setattr(hypersym.symmetry, "_index_generator", refused)
-    graph = nikiforov(NikiforovParams(1, 6, 6, 4))
-    assert is_l_symmetric(graph, 1) == Coloring(4, [0] * 16)
-    with pytest.raises(DisconnectedError):
-        is_l_symmetric(build_hypergraph(2, 4, [[1, 2], [3, 4]]), 1)
+    assert cyclic_index(cycle(3)).divisor_evidence[2] is None
 
 
 def test_disconnected_refused():
     split = build_hypergraph(2, 4, [[1, 2], [3, 4]])
     with pytest.raises(DisconnectedError):
-        is_l_symmetric(split, 2)
-    with pytest.raises(DisconnectedError):
         cyclic_index(split)
-
-
-def test_non_divisor_refused():
-    with pytest.raises(ParameterError):
-        is_l_symmetric(cycle(4), 3)
 
 
 def test_cyclic_index_single_edge():
@@ -162,7 +143,7 @@ def test_bipartite_detection_agrees_with_bfs():
 def test_nikiforov_order2_witness_matches_published_coloring():
     params = NikiforovParams(1, 6, 6, 4)
     g = nikiforov(params)
-    witness = is_l_symmetric(g, 2)
+    witness = cyclic_index(g).divisor_evidence[2]
     assert witness is not None
     assert verify_coloring(g, witness, 2)
     # the known classes-constant coloring is also accepted
@@ -194,15 +175,14 @@ def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
 
 
 def _assert_verdicts_match_oracle(graph):
-    """`cyclic_index` and `is_l_symmetric` decide every order as the
-    per-divisor oracle does, agree on each witness, and each verifies."""
+    """`cyclic_index` decides every order as the per-divisor oracle does,
+    and each witness verifies."""
     oracle = per_divisor_report(graph, graph.uniformity)
     report = cyclic_index(graph)
     assert report.cyclic_index == oracle.cyclic_index
     assert report.divisor_evidence.keys() == oracle.divisor_evidence.keys()
     for ell, witness in report.divisor_evidence.items():
         assert (witness is None) == (oracle.divisor_evidence[ell] is None)
-        assert is_l_symmetric(graph, ell) == witness
         if witness is not None:
             assert verify_coloring(graph, witness, ell)
 
