@@ -46,18 +46,15 @@ from .power import (
     generalized_power,
     power_cyclic_index_shortcut,
 )
-from .spectral import (
-    SimilarityCertificate,
-    SpectralEstimate,
-    power_iteration_rho,
-    verify_similarity,
-)
+from .spectral import SpectralEstimate, power_iteration_rho
 from .symmetry import (
     Coloring,
+    SimilarityCertificate,
     SymmetryReport,
     cyclic_index,
     divisors,
     verify_coloring,
+    verify_similarity,
 )
 
 __version__ = "0.1.0"

@@ -29,8 +29,8 @@ from .errors import (
 )
 from .families import DEFAULT_EDGE_BUDGET, NikiforovParams, nikiforov, nikiforov_coloring, stock
 from .power import conjecture_check, generalized_power, power_cyclic_index_shortcut
-from .spectral import power_iteration_rho, verify_similarity
-from .symmetry import cyclic_index
+from .spectral import power_iteration_rho
+from .symmetry import cyclic_index, verify_similarity
 
 EXIT_OK = 0
 EXIT_PARSE = 2

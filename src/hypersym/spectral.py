@@ -1,4 +1,4 @@
-"""Adjacency-tensor numerics: spectral radius and similarity certificates.
+"""Adjacency-tensor numerics: the spectral radius by power iteration.
 
 The adjacency tensor is never materialized (it has n^m entries). The
 power iteration starts from the all-ones vector, which is constant on
@@ -8,16 +8,15 @@ reaches from the vertex degrees, and contracts the tensor through that
 partition's table of edge types (the sorted tuples of member cells),
 each with its edge count. The paper's three-class family and its
 blow-ups have 2 cells and 2 types; on an input without symmetry every
-cell is one vertex and the kernel is a loop over the edges. The
-similarity check needs only each edge's color sum mod m. All of it is
-plain Python, so no command loads an array library.
+cell is one vertex and the kernel is a loop over the edges. All of it
+is plain Python, so no command loads an array library.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from math import inf, isfinite, isnan, nan, pi, sin, sqrt
+from math import inf, isfinite, isnan, nan, sqrt
 from operator import add, mul
 from typing import NamedTuple
 
@@ -28,7 +27,6 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .symmetry import Coloring, _check_order, _residues
 
 # Exact-arithmetic monotonicity of the Collatz-Wielandt bracket can wobble
 # by rounding noise; violations beyond this relative slack are a bug.
@@ -44,20 +42,6 @@ class SpectralEstimate(NamedTuple):
     residual: float
     bracket: tuple[float, float]
     history: tuple[tuple[float, float], ...]
-
-
-class SimilarityCertificate(NamedTuple):
-    """Numerical witness that the coloring's diagonal phase matrix turns
-    the tensor by exp(i 2 pi / l).
-
-    `max_deviation` is the largest distance from 1 of
-    exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j, with
-    d_v = exp(i 2 pi phi(v) / m), over all edges e and all leading
-    vertices i; it is exactly 0.0 for a valid coloring.
-    """
-
-    modulus: int
-    max_deviation: float
 
 
 def _equitable_partition(
@@ -227,25 +211,3 @@ def power_iteration_rho(
         bracket=(lo, hi),
         iterations=max_iterations,
     )
-
-
-def verify_similarity(
-    graph: Hypergraph, coloring: Coloring, symmetry_order: int
-) -> SimilarityCertificate:
-    """Certify that the coloring's diagonal phase matrix turns the spectrum by 2 pi / l.
-
-    Maps each color to the unit phase d_v = exp(i 2 pi phi(v) / m). As
-    d_i^m = 1, the entry exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
-    is exp(i 2 pi r / m) for every leading vertex i, where r is the edge's
-    color sum minus m/l, mod m. Its distance from 1 is 2 sin(pi r / m), taken
-    at min(r, m - r) so that the argument stays in (0, pi/2]: the maximum is
-    exactly 0.0 when every edge sums to m/l, and positive otherwise.
-    """
-    m = _check_order(graph, symmetry_order, coloring)
-    # edges are 1-based; a leading 0 puts vertex v's color at index v
-    residues = _residues(graph.edges, (0, *coloring.values), m, m // symmetry_order)
-    return SimilarityCertificate(
-        modulus=m,
-        max_deviation=max((2 * sin(pi * min(r, m - r) / m) for r in residues if r), default=0.0),
-    )
-

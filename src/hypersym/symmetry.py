@@ -9,7 +9,7 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 from __future__ import annotations
 
 from itertools import islice, repeat
-from math import gcd
+from math import gcd, pi, sin
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -50,6 +50,20 @@ class SymmetryReport(NamedTuple):
     divisor_evidence: dict[int, Optional[Coloring]]
 
 
+class SimilarityCertificate(NamedTuple):
+    """Numerical witness that the coloring's diagonal phase matrix turns
+    the tensor by exp(i 2 pi / l).
+
+    `max_deviation` is the largest distance from 1 of
+    exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j, with
+    d_v = exp(i 2 pi phi(v) / m), over all edges e and all leading
+    vertices i; it is exactly 0.0 for a valid coloring.
+    """
+
+    modulus: int
+    max_deviation: float
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
@@ -82,19 +96,34 @@ def verify_coloring(graph: Hypergraph, coloring: Coloring, symmetry_order: int) 
     return not any(_misses(graph.edges, (0, *coloring.values), m, m // symmetry_order))
 
 
+def verify_similarity(
+    graph: Hypergraph, coloring: Coloring, symmetry_order: int
+) -> SimilarityCertificate:
+    """Certify that the coloring's diagonal phase matrix turns the spectrum by 2 pi / l.
+
+    Maps each color to the unit phase d_v = exp(i 2 pi phi(v) / m). As
+    d_i^m = 1, the entry exp(-i 2 pi / l) * d_i^-(m-1) * prod_{j in e, j != i} d_j
+    is exp(i 2 pi r / m) for every leading vertex i, where r is the edge's
+    color sum minus m/l, mod m. Its distance from 1 is 2 sin(pi r / m), taken
+    at min(r, m - r) so that the argument stays in (0, pi/2]: the maximum is
+    exactly 0.0 when every edge sums to m/l, and positive otherwise.
+    """
+    m = _check_order(graph, symmetry_order, coloring)
+    # edges are 1-based; a leading 0 puts vertex v's color at index v
+    get, target = (0, *coloring.values).__getitem__, m // symmetry_order
+    residues = {(sum(map(get, edge)) - target) % m for edge in graph.edges}
+    return SimilarityCertificate(
+        modulus=m,
+        max_deviation=max((2 * sin(pi * min(r, m - r) / m) for r in residues if r), default=0.0),
+    )
+
+
 def _misses(rows, values, modulus: int, target: int):
     """The rows whose values sum to other than `target` mod `modulus`, in
     order and lazily. Rows are nonempty tuples, so `any` finds a miss."""
     target %= modulus
     get = values.__getitem__
     return (row for row in rows if sum(map(get, row)) % modulus != target)
-
-
-def _residues(rows, values, modulus: int, target: int) -> set[int]:
-    """The distinct (row sum - `target`) mod `modulus` over the rows; {0} or
-    empty exactly when no row misses."""
-    get = values.__getitem__
-    return {(sum(map(get, row)) - target) % modulus for row in rows}
 
 
 def cyclic_index(graph: Hypergraph) -> SymmetryReport:

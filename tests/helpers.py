@@ -18,8 +18,10 @@ The dense product `mat_vec_mod`, which checks the solver's witnesses,
 the block-constant and single-member lifts, the uncapped edge count of
 the three-class family and `apply_adjacency`, the contraction kernel on
 a graph with every vertex its own cell, live here because only the
-tests use them. `CountedEdges` counts the passes a function makes over
-a graph's edges.
+tests use them. `two_cell_rho` is the exact spectral radius of a graph
+whose degrees give two equitable cells, from per-type edge counts in
+`decimal`, not from `_contract`. `CountedEdges` counts the passes a
+function makes over a graph's edges.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
+from decimal import Decimal, localcontext
 from math import gcd
 
 import numpy as np
@@ -189,6 +193,57 @@ def power_iteration_loop(graph: Hypergraph, tolerance: float, max_iterations: in
         x = y ** (1.0 / (m - 1))
         x /= np.linalg.norm(x)
     return None
+
+
+def two_cell_rho(graph: Hypergraph, digits: int = 60) -> Decimal:
+    """Spectral radius of a graph whose vertex degrees give two equitable
+    cells, from the 2-cell quotient in `digits`-digit decimal arithmetic.
+
+    Cell 0 holds the vertices of vertex 1's degree. E_j counts the edges
+    with j members in cell 1. With x = (1, r) on the cells, the tensor
+    contraction is y_0(r) = sum_j E_j (m - j) r^j / |C_0| on cell 0 and
+    y_1(r) = sum_j E_j j r^(j-1) / |C_1| on cell 1, so x is an eigenvector
+    exactly when y_1(r) = y_0(r) r^(m-1), and then rho = y_0(r). A
+    connected hypergraph has one positive eigenvector, so that equation
+    has one positive root; bisection finds it.
+    """
+    m = graph.uniformity
+    degree = Counter(itertools.chain.from_iterable(graph.edges))
+    assert len(set(degree.values())) == 2, "the degrees give other than 2 cells"
+    in_one = [False] + [degree[v] != degree[1] for v in range(1, graph.vertex_count + 1)]
+    # equitable: every vertex of a cell lies in as many edges of each type
+    seen = [Counter() for _ in in_one]
+    kinds = Counter()
+    for edge in graph.edges:
+        j = sum(in_one[v] for v in edge)
+        kinds[j] += 1
+        for v in edge:
+            seen[v][j] += 1
+    for cell in (False, True):
+        counts = {frozenset(seen[v].items()) for v in range(1, len(in_one)) if in_one[v] == cell}
+        assert len(counts) == 1, "the degree cells are not equitable"
+    sizes = Counter(in_one[1:])
+    with localcontext() as context:
+        context.prec = digits
+
+        def y(r: Decimal) -> tuple[Decimal, Decimal]:
+            y0 = sum(count * (m - j) * r**j for j, count in kinds.items()) / sizes[False]
+            y1 = sum(count * j * r ** (j - 1) for j, count in kinds.items() if j) / sizes[True]
+            return y0, y1
+
+        def above(r: Decimal) -> bool:  # r lies past the root
+            y0, y1 = y(r)
+            return y1 < y0 * r ** (m - 1)
+
+        lo, hi = Decimal(1), Decimal(1)
+        while above(lo):
+            lo /= 2
+        while not above(hi):
+            hi *= 2
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return +y((lo + hi) / 2)[0]
 
 
 def similarity_deviation_loop(graph: Hypergraph, coloring, symmetry_order: int) -> float:

@@ -2,6 +2,8 @@ import random
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from helpers import (
     random_connected_hypergraph,
     random_hypergraph,
     similarity_deviation_loop,
+    two_cell_rho,
 )
 
 
@@ -206,6 +209,42 @@ def test_rho_matches_per_edge_kernel():
         assert est.iterations == want[2]
         assert abs(est.rho - want[0]) <= 1e-10 + 1e-12 * est.rho
         assert est.residual <= 1e-10
+
+
+@lru_cache(maxsize=None)
+def _family(sizes):
+    return nikiforov(NikiforovParams(1, *sizes))
+
+
+@pytest.mark.parametrize(
+    "sizes, exact",
+    [((6, 6, 4), "105.574385243020006523"), ((12, 12, 8), "1131.514280402075283129")],
+)
+def test_rho_matches_the_exact_two_cell_value(sizes, exact):
+    # the family and its s = 2, 3 blow-ups share one exact radius, which
+    # the iteration at tolerance 1e-10 must reach
+    base = _family(sizes)
+    t = base.uniformity
+    for graph in (base, *(generalized_power(base, s * t, s)[0] for s in (2, 3))):
+        rho = two_cell_rho(graph)
+        assert abs(rho - Decimal(exact)) < Decimal("1e-18")
+        est = power_iteration_rho(graph, tolerance=1e-10)
+        assert abs(est.rho - float(rho)) <= 1e-10 + 1e-12 * float(rho)
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("sizes", [(6, 6, 4), (12, 12, 8)])
+def test_rho_of_a_power_is_the_base_rho_to_the_power_st_over_m(sizes, s, pad):
+    # rho(G^(m,s)) = rho(G)^(st/m), with both tolerances carried through
+    tol = 1e-10
+    base = _family(sizes)
+    m = s * base.uniformity + pad
+    alpha = s * base.uniformity / m
+    rho_g = power_iteration_rho(base, tolerance=tol).rho
+    rho_p = power_iteration_rho(generalized_power(base, m, s)[0], tolerance=tol).rho
+    bound = tol + alpha * rho_g ** (alpha - 1) * tol + 1e-12 * rho_p
+    assert abs(rho_p - rho_g**alpha) <= bound
 
 
 def _graphs_and_powers(rng):
