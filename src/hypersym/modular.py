@@ -7,8 +7,11 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from math import gcd
-from operator import itemgetter, mul
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+from itertools import repeat
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -91,159 +94,115 @@ def _unit_for(a: int, m: int) -> int:
     raise InternalConsistencyError(f"no unit lift for {a} mod {m}")
 
 
-class _SpanBasis:
-    """Echelonized generating set for the column span of a k x n integer
-    matrix A over Z_m.
+def _combine(s: int, row: dict, t: int, other: dict, q: int) -> dict:
+    """The row s * row + t * other over Z_q, without its zero entries."""
+    return {
+        c: e
+        for c in row.keys() | other.keys()
+        if (e := (s * row.get(c, 0) + t * other.get(c, 0)) % q)
+    }
 
-    A is given as its nonzero entries: `rows[pos]` lists the columns of
-    the nonzero entries of row `pos`, numbered from 1, and `weights[pos]`
-    those entries. With `weights` None every listed entry is 1: `rows` is
-    then the vertex tuple of each edge, the incidence matrix without its
-    zeros. Callers pass program-built data; `ModMatrix` is the checked
-    entry point for anything else.
 
-    Built by row reduction over Z_m applied to the transposed matrix,
-    with one extra rule that makes membership testing complete for
-    composite moduli: whenever a pivot p is placed, the annihilator
-    multiple (m // p) * row joins the working set. Those extra rows
-    capture the combinations that vanish at the pivot but not later,
-    exactly the ambiguity a greedy reduction must be able to absorb
-    (Howell's canonical-form construction). So the pivot positions and
-    each pivot value, the gcd with m of the entries there of the span
-    vectors that are zero before it, are canonical; the pivot rows
-    depend on the order the rows are folded in.
+def _eliminate(
+    q: int,
+    width: int,
+    rows: Sequence[Sequence[int]],
+    weights: Optional[Sequence[Sequence[int]]] = None,
+    rhs: Optional[Sequence[int]] = None,
+) -> tuple[int, list[int]]:
+    """(g, x) with A x = g * rhs over Z_q, where g divides q and b * rhs
+    is in the column span of A exactly for the multiples b of g; x[0] is
+    a zero slot. So g = 1 exactly when A x = rhs is solvable.
 
-    A working row is a column combination A c, and it is stored only as
-    its coefficient vector c: a leading slot 0 that is always 0 and then
-    one entry per column, so a row of A indexes it directly, as
-    `verify_coloring` indexes `(0, *values)`. The entry (A c)[pos] is
-    evaluated when needed, so no length-k vector is ever built:
-    `terms[pos]` maps c to its terms; a 0/1 row gathers its
-    coefficients with one `itemgetter`, a weighted row multiplies each
-    coefficient by its weight, so an entry a costs one product, not a
-    copies of a column. Each working row is filed under its first
-    nonzero position, found by evaluating the positions in order, and a
-    row that is zero at every position is dropped. At the smallest
-    filed position the first row becomes the pivot and every other row
-    there folds into it, then is filed again from the next position.
-    Each pivot keeps its coefficient vector, so reducing a target to
-    zero also yields a solution x with A x = target.
+    A is given as its nonzero entries: `rows[r]` lists the columns of row
+    r, numbered from 1, and `weights[r]` its entries, each 1 when
+    `weights` is None (the vertex tuple of each edge is then a row of the
+    incidence); `rhs` is all ones when None. Callers pass program-built
+    data; `ModMatrix` is the checked entry point for anything else.
+
+    Each row of the system [A | -rhs] (x, b) = 0 is a dict {column:
+    entry}, with column 0 holding -rhs. Columns are eliminated cheapest
+    first: the one in the fewest pool rows, from a lazy heap. There the
+    row with the fewest entries (then the lowest id) is the pivot, every
+    other row folds into it by a 2x2 unimodular step, the pivot is scaled
+    by a unit to p = gcd(entry, q) and leaves the pool, and its
+    annihilator row (q/p) * pivot, zero at the column, joins the pool
+    (Howell's construction). A column in no pool row is free, x = 0.
+    The rows left read c * b = 0, so b is a multiple of g = lcm(q/gcd(c, q)).
+    Back-substitution with b = g, in reverse order, needs p to divide the
+    pivot's residual; the annihilator row, which the later columns and b
+    satisfy, makes it so, and a residual off p is an internal error.
     """
+    pool: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = defaultdict(set)  # column -> ids of its rows
 
-    def __init__(
-        self,
-        modulus: int,
-        width: int,
-        rows: Sequence[Sequence[int]],
-        weights: Optional[Sequence[Sequence[int]]] = None,
-    ):
-        m = modulus
-        self.modulus = m
-        self.width = width
-        k = len(rows)
-        if weights is None:
-            self.terms = [itemgetter(*cols) for cols in rows]
-        else:
-            self.terms = [
-                lambda coef, cols=cols, ws=ws: map(mul, ws, map(coef.__getitem__, cols))
-                for cols, ws in zip(rows, weights)
-            ]
-        # Working rows by first nonzero position: (entry there, coefficients).
-        pending: dict[int, list[tuple[int, list[int]]]] = {}
+    def refile(i: int, old: dict, new: dict) -> set[int]:
+        """Move row i in `where` from the columns of `old` to those of
+        `new`; return the columns whose rows changed."""
+        changed = old.keys() ^ new.keys()
+        for c in changed:
+            (where[c].add if c in new else where[c].discard)(i)
+        return changed
 
-        def add(coef: list[int], start: int) -> None:
-            pos, value = self._scan(coef, start)
-            if pos < k:
-                pending.setdefault(pos, []).append((value, coef))
-
-        for j in range(1, width + 1):
-            coef = [0] * (width + 1)
-            coef[j] = 1
-            add(coef, 0)
-        self.pivots: dict[int, tuple[int, list[int]]] = {}
-        while pending:
-            pos = min(pending)
-            (a, pcoef), *rest = pending.pop(pos)
-            for c, coef in rest:
-                g, s, t = _xgcd(a, c)
-                u, v = a // g, c // g
-                # det [[s, t], [-v, u]] = (s*a + t*c)/g = 1: invertible over Z_m.
-                # The pivot's entry becomes s*a + t*c = g, the row's u*c - v*a = 0.
-                pcoef, coef = (
-                    [(s * x + t * y) % m for x, y in zip(pcoef, coef)],
-                    [(u * y - v * x) % m for x, y in zip(pcoef, coef)],
-                )
-                a = g
-                add(coef, pos + 1)
-            unit = _unit_for(a, m)
-            pcoef = [(unit * x) % m for x in pcoef]
-            p = (unit * a) % m
-            self.pivots[pos] = (p, pcoef)
-            # A unit pivot's annihilator row is the zero vector, which the
-            # scan would evaluate at every later position to drop.
-            acoef = [(m // p * x) % m for x in pcoef]
-            if any(acoef):
-                add(acoef, pos + 1)
-
-    def _scan(self, coef: list[int], start: int) -> tuple[int, int]:
-        """First position >= start where A coef is nonzero, with its entry;
-        (k, 0) when there is none. The positions are evaluated in order,
-        for 0/1 and weighted rows alike."""
-        m = self.modulus
-        terms = self.terms
-        for pos in range(start, len(terms)):
-            value = sum(terms[pos](coef)) % m
-            if value:
-                return pos, value
-        return len(terms), 0
-
-    def express(self, target: Iterable[int]) -> tuple[int, list[int]]:
-        """(a, x) with A x = a * target (mod m); x[0] is the zero slot.
-
-        The b with b * target in the span are exactly the multiples of
-        g, a divisor of m, and a is g itself, or 0 when g = m: a = 1
-        exactly when the target is in the column span.
-
-        One walk over the positions: the residual at `pos` is
-        a * target[pos] - (A x)[pos] for the current a and x, and a pivot
-        placed at `pos` is zero before it, so clearing `pos` keeps every
-        earlier position clear. At a residual r that the pivot p (m where
-        there is none) does not divide, a and x are first multiplied by
-        u = p / gcd(r, p), the least factor that makes u * r a multiple
-        of p. The basis is annihilator-closed, so a vector of the span
-        that is zero before `pos` has its entry there in p * Z_m. As a
-        starts at 1 and divides g, c = g / a times the residual is such a
-        vector, so u divides c and a * u still divides g: it never wraps
-        mod m, except to 0 when a * u = m = g. So each factor is forced,
-        and the final a is g, the generator of the ideal. A target in the span
-        gives a residual in the span, so it is never scaled.
-        """
-        m = self.modulus
-        a = 1
-        x = [0] * (self.width + 1)
-        for pos, (want, terms) in enumerate(zip(target, self.terms)):
-            r = (a * want - sum(terms(x))) % m
-            if not r:
-                continue
-            p, pcoef = self.pivots.get(pos, (m, None))
-            if r % p:
-                u = p // gcd(r, p)
-                a = a * u % m
-                x = [v * u % m for v in x]
-                r = r * u % m
-            if r:
-                lam = r // p
-                x = [(v + lam * b) % m for v, b in zip(x, pcoef)]
-        return a, x
+    for i, (cols, b) in enumerate(zip(rows, repeat(1) if rhs is None else rhs)):
+        pool[i] = row = dict(zip(cols, repeat(1) if weights is None else weights[i]))
+        if b % q:
+            row[0] = -b % q
+        refile(i, {}, row)
+    heap = [(len(ids), c) for c, ids in where.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        count, j = heappop(heap)
+        ids = where[j]
+        if not (j and ids and count == len(ids)):
+            continue  # column 0, an eliminated column or a stale count
+        pid = min(ids, key=lambda i: (len(pool[i]), i))
+        pivot = pool.pop(pid)
+        touched = refile(pid, pivot, {})
+        a = pivot[j]
+        for i in sorted(ids):
+            row = pool[i]
+            e = row[j]
+            g, s, t = _xgcd(a, e) if e % a else (a, 1, 0)
+            # det [[s, t], [-e/g, a/g]] = (s*a + t*e)/g = 1: invertible over
+            # Z_q. The pivot's entry becomes g, the row's 0.
+            pool[i] = new = _combine(a // g, row, -(e // g), pivot, q)
+            if t:
+                pivot = _combine(s, pivot, t, row, q)
+            a = g
+            touched |= refile(i, row, new)
+        unit = _unit_for(a, q)
+        p = unit * a % q
+        pivot = _combine(unit, pivot, 0, {}, q)
+        pivots.append((j, p, pivot))
+        annihilator = _combine(q // p, pivot, 0, {}, q)
+        if annihilator:
+            i = len(rows) + len(pivots)
+            pool[i] = annihilator
+            touched |= refile(i, {}, annihilator)
+        for c in touched:
+            heappush(heap, (len(where[c]), c))
+    g = lcm(*(q // gcd(row.get(0, 0), q) for row in pool.values()))
+    x = [g % q] + [0] * width
+    for j, p, pivot in reversed(pivots):
+        r = sum(e * x[c] for c, e in pivot.items()) % q
+        if r % p:
+            raise InternalConsistencyError(
+                f"back-substitution over Z_{q}: pivot {p} does not divide residual {r}"
+            )
+        x[j] = -r % q // p
+    x[0] = 0
+    return g, x
 
 
 def solve_linear_mod(matrix: ModMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Solve A x = b (mod m), with b read mod m; return one witness or None.
 
-    Complete for every modulus: b is reduced against an annihilator-closed
-    echelon basis of the column span of A, so the verdict "no solution"
-    is exact, not a pivoting accident. Any returned witness is checked by
-    substitution before being handed back.
+    Complete for every modulus: `_eliminate` closes the rows of [A | -b]
+    under annihilators, so the verdict "no solution" is exact, not a
+    pivoting accident. Any returned witness is checked by substitution
+    before being handed back.
     """
     if matrix.rows != len(rhs):
         raise DimensionMismatchError(
@@ -253,8 +212,8 @@ def solve_linear_mod(matrix: ModMatrix, rhs: Sequence[int]) -> Optional[tuple[in
     b = tuple(int(e) % m for e in rhs)
     cols = [[j for j, a in enumerate(row, 1) if a] for row in matrix.entries]
     weights = [[row[j - 1] for j in c] for row, c in zip(matrix.entries, cols)]
-    a, x = _SpanBasis(m, matrix.cols, cols, weights).express(b)
-    if a != 1:
+    g, x = _eliminate(m, matrix.cols, cols, weights, b)
+    if g != 1:
         return None
     # x[0] is the zero slot, so the 1-based columns index x directly
     image = tuple(sum(map(mul, ws, map(x.__getitem__, c))) % m for c, ws in zip(cols, weights))

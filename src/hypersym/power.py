@@ -144,11 +144,11 @@ def conjecture_check(graph: Hypergraph, blowup: int) -> ConjectureReport:
     B, once over Z_t and once over Z_m: the power's incidence is B with
     every column repeated s times, which spans the same submodule, so
     c(power) is the largest l with B x = (m/l) * 1 solvable over Z_m.
-    Over each modulus q an all-ones walk on an edge sample, proved by one
-    edge-sum pass over every edge, returns the generator g dividing q
-    with b * 1 in the span exactly for the multiples b of g, so the index
-    is q/g (`symmetry._index_generator`); the span basis of the whole
-    incidence is never built. The characterization system
+    Over each modulus q the all-ones system of an edge sample, eliminated
+    and proved by one edge-sum pass over every edge, gives the generator
+    g dividing q with b * 1 in the span exactly for the multiples b of g,
+    so the index is q/g (`symmetry._index_generator`); the system of the
+    whole incidence is never eliminated. The characterization system
     B x = (t / c(base)) * 1 over Z_m has target g_t, so it is solvable
     exactly when g_m divides g_t, which is equivalent to equality.
     Theory-mandated divisibility relations are asserted before the

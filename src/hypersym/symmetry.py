@@ -8,8 +8,8 @@ edge-vertex incidence matrix B. The cyclic index is the largest such l.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from math import gcd, pi, sin
+from itertools import islice
+from math import pi, sin
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
 )
 from .hypergraph import Hypergraph, is_connected
-from .modular import _Checked, _SpanBasis
+from .modular import _Checked, _eliminate
 
 
 class _ColoringFields(NamedTuple):
@@ -153,34 +153,26 @@ def _index_generator(graph: Hypergraph, modulus: int) -> tuple[int, list[int]]:
     exactly for the multiples b of g; the index is q/g. x[0] is a zero
     slot.
 
-    An all-ones `express` walk on the incidence of an edge sample S gives
-    B_S x = a * 1. When every edge of the graph sums to a under x, g is
-    gcd(a, q): the ideal of the graph lies in that of S, so g_S divides
-    g, and B x = a * 1 puts a in the graph's ideal, so g divides
-    gcd(a, q) = g_S. S starts as every max(1, k // 2n)-th edge, so it is
-    every edge when k < 4n. The pass reads the edges once and stops
-    after |S| misses: none proves the walk, otherwise the missed edges
-    join S and the walk runs again. `express` gives a as g itself, or 0
-    when g = q; that a = g (mod q) is checked last, in O(1), so
-    B x = g * 1 holds too.
+    `_eliminate` on the incidence of an edge sample S gives g_S and x
+    with B_S x = g_S * 1. When every edge of the graph sums to g_S under
+    x, g = g_S: the ideal of the graph lies in that of S, so g_S divides
+    g, and B x = g_S * 1 puts g_S in the graph's ideal, so g divides g_S.
+    S starts as every max(1, k // 2n)-th edge, so it is every edge when
+    k < 4n. The pass reads the edges once and stops after |S| misses:
+    none proves x, otherwise the missed edges join S and the elimination
+    runs again.
     """
     q = modulus
     edges = graph.edges
     n = graph.vertex_count
     sample = list(edges[:: max(1, len(edges) // (2 * n))])
     while True:
-        a, x = _SpanBasis(q, n, sample).express(repeat(1))
-        missed = list(islice(_misses(edges, x, q, a), len(sample)))
+        g, x = _eliminate(q, n, sample)
+        missed = list(islice(_misses(edges, x, q, g), len(sample)))
         if not missed:
-            break
+            return g, x
         if len(sample) >= len(edges):
             raise InternalConsistencyError(
                 f"all-ones walk over Z_{q} fails edge-sum verification"
             )
         sample += missed
-    g = gcd(a, q)
-    if a % q != g % q:
-        raise InternalConsistencyError(
-            f"all-ones walk over Z_{q} gives a = {a}, not its generator {g}"
-        )
-    return g, x

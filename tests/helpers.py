@@ -6,12 +6,11 @@ closure, tensor contraction by full index-tuple summation. The per-edge
 loops that the spectral array kernels replaced are kept here too, as
 oracles for the plain-Python kernels (bit-exact where the arithmetic is
 the same), with the power iteration on every vertex that the
-equitable-partition quotient replaced, and so is the dense-vector span
-basis that the coefficient-only `_SpanBasis` replaced, with the gcd
-pivot rule that `_SpanBasis` dropped. Its `express` is the plain
-membership query, None off the span; `_SpanBasis.express`
-is the one walk that also scales. The per-divisor route, one query per
-divisor, is the oracle for the sampled all-ones walk that
+equitable-partition quotient replaced, and so is a dense-vector span
+basis of the transposed matrix, which shares no code path with
+`modular._eliminate`. Its `express` is the plain membership query, None
+off the span. The per-divisor route, one query per divisor on that
+basis, is the oracle for the sampled elimination that
 `symmetry._index_generator` runs per modulus. The streaming reader that
 the whole-list passes replaced is the oracle for `parse_hypergraph`.
 The dense product `mat_vec_mod`, which checks the solver's witnesses,
@@ -43,11 +42,12 @@ from hypersym import (
     SymmetryReport,
     build_hypergraph,
     divisors,
+    incidence_matrix,
 )
 from hypersym.errors import FileFormatError, HypergraphError, ParameterError
 from hypersym.fileio import _header_value, _significant_lines
 from hypersym.hypergraph import _build_per_edge
-from hypersym.modular import _SpanBasis, _unit_for, _xgcd
+from hypersym.modular import _unit_for, _xgcd
 from hypersym.spectral import _contract
 
 
@@ -397,17 +397,18 @@ def is_bipartite_bfs(graph: Hypergraph) -> bool:
 
 
 class DenseSpanBasis:
-    """The span basis with every working row carried as a full length-k vector.
+    """An echelon basis of the column span of A over Z_m, with every
+    working row a full length-k vector, the column of A it is, and its
+    coefficients.
 
-    An elimination order of its own: at each position the row with the
+    The transposed route, independent of `hypersym.modular._eliminate`,
+    which eliminates the rows of [A | -b] themselves: here the columns of
+    A are reduced position by position. At each position the row with the
     least gcd of its entry with m, then the lowest slot, is swapped into
-    place as the pivot, and the later rows fold into it, with the same
-    2x2 unimodular transforms and annihilator rows as
-    `hypersym.modular._SpanBasis`, which keeps coefficient vectors only
-    and folds in filing order. Pivot positions and pivot values are
-    canonical, so that basis must have the same ones; the pivot rows and
-    `express` solutions may differ. Takes the dense rows of A, entries
-    in [0, m).
+    place as the pivot, and the later rows fold into it by 2x2 unimodular
+    transforms; each pivot adds its annihilator row (m/p) * pivot, so
+    `express` decides membership exactly for composite m (Howell's
+    construction). Takes the dense rows of A, entries in [0, m).
     """
 
     def __init__(self, modulus, rows):
@@ -485,21 +486,21 @@ class DenseSpanBasis:
 def per_divisor_report(graph: Hypergraph, modulus: int) -> SymmetryReport:
     """Every divisor l of q decided by its own `express` call: B x = (q/l) * 1.
 
-    One span basis of the incidence B over Z_q, one `express` call per
-    divisor, each witness checked by edge sums and the report checked for
-    divisor closure; `cyclic_index`, which scales one sampled all-ones
-    walk's solution for every solvable divisor, must give the same
+    One dense span basis of the incidence B over Z_q, one `express` call
+    per divisor, each witness checked by edge sums and the report checked
+    for divisor closure; `cyclic_index`, which scales one sampled
+    elimination's solution for every solvable divisor, must give the same
     verdicts when q is the uniformity, though its witnesses may differ.
     """
     q = modulus
-    basis = _SpanBasis(q, graph.vertex_count, graph.edges)
+    basis = DenseSpanBasis(q, incidence_matrix(graph))
     evidence = {}
     for ell in divisors(q):
-        a, x = basis.express([q // ell] * graph.edge_count)
-        if a == 1:
-            # x[0] is the zero slot, so x[v] is the color of vertex v
-            assert all(sum(x[v] for v in e) % q == (q // ell) % q for e in graph.edges)
-        evidence[ell] = Coloring(q, x[1:]) if a == 1 else None
+        x = basis.express([q // ell] * graph.edge_count)
+        if x is not None:
+            # x[v - 1] is the color of vertex v
+            assert all(sum(x[v - 1] for v in e) % q == (q // ell) % q for e in graph.edges)
+        evidence[ell] = None if x is None else Coloring(q, x)
     solvable = [ell for ell, witness in evidence.items() if witness is not None]
     for ell in solvable:
         assert all(evidence[d] is not None for d in divisors(ell))

@@ -323,15 +323,15 @@ def test_verify_coloring_edgeless(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,reads,last_line", [
-    # connectivity and the proof pass of the all-ones walk over Z_4; every
-    # witness is a multiple of that walk's x and reads no edge
+    # connectivity and the proof pass of the all-ones elimination over
+    # Z_4; every witness is a multiple of its x and reads no edge
     (["analyze", "{hg}"], 2, "cyclic_index = 2"),
-    # on the s=2 power, whose walk over Z_8 is proved in its first round
-    (["analyze", "{hg2}"], 2, "cyclic_index = 2"),
-    # on the s=3 power, whose walk needs a second round, with orders 2, 3
-    # and 6 solvable
+    # on the s=2 power, whose elimination over Z_8 needs a second round
+    (["analyze", "{hg2}"], 3, "cyclic_index = 2"),
+    # on the s=3 power, whose elimination needs a second round, with
+    # orders 2, 3 and 6 solvable
     (["analyze", "{hg3}"], 3, "cyclic_index = 6"),
-    # connectivity and the proof passes of the walks over Z_4 and Z_8
+    # connectivity and the proof passes of the eliminations over Z_4 and Z_8
     (["conjecture", "{hg}", "--s", "2"], 3,
      "c(power) = 2 != 4 = s*c(base): conjecture fails here"),
     # connectivity, the degree count and one refinement round, which reads
@@ -353,8 +353,8 @@ def test_edge_reads_per_command(
     nikiforov_file, tmp_path, monkeypatch, capsys, command, reads, last_line
 ):
     # the passes over the edges of the graph the reader returns, on the
-    # (6,6,4) family, where every walk is proved in its first round, and
-    # on its s=2 and s=3 powers
+    # (6,6,4) family, where every elimination is proved in its first
+    # round, and on its s=2 and s=3 powers
     col = tmp_path / "nik.col"
     write_coloring(nikiforov_coloring(NikiforovParams(1, 6, 6, 4)), col)
     family = nikiforov(NikiforovParams(1, 6, 6, 4))
@@ -598,16 +598,16 @@ def test_power_over_the_entry_budget_writes_nothing(c4_file, tmp_path, options, 
 # stdout and exit code of each command on the (6,6,4) family and its s=2
 # power, and on the (12,12,8) family (and its s=2 power for `rho`, the
 # inputs of the benchmark's spectral workload); the witness colorings pin the
-# pivot rows of the all-ones walk's basis. With `nikiforov`'s own labels the
-# (12,12,8) walks over Z_4, Z_8 and Z_12 each grow their 65-edge sample
-# to 130 edges once, so those lines pin the sample growth too
+# pivots of the all-ones elimination. With `nikiforov`'s own labels the
+# (12,12,8) eliminations over Z_4, Z_8 and Z_12 each grow their 65-edge
+# sample to 130 edges once, so those lines pin the sample growth too
 GOLDEN_FAMILY_OUTPUT = [
     ("family", ["analyze"], 0, (
         "uniform 4\n"
         "vertices 16\n"
         "edges 420\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 1 1 1 1 1 1 3 3 3 3 3 3 0 0 0 0\n"
+        "l = 2: solvable, coloring = 2 2 2 2 2 2 0 0 0 0 0 0 1 1 1 1\n"
         "l = 4: unsolvable\n"
         "cyclic_index = 2\n"
     )),
@@ -634,7 +634,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 32\n"
         "edges 420\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 6 2 4 4 2 0 6 0 6 0 6 6 4 0 2 6 4 0 2 0 2 0 2 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 4 0 4 0 4 0 4 0 4 0 4 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0 2 0 2 0 2 0\n"
         "l = 4: unsolvable\n"
         "l = 8: unsolvable\n"
         "cyclic_index = 2\n"
@@ -682,7 +682,7 @@ GOLDEN_FAMILY_OUTPUT = [
         "vertices 32\n"
         "edges 8976\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 3 3 3 3 3 3 3 3 3 3 3 3 1 1 1 1 1 1 1 1 1 1 1 1 0 0 0 0 0 0 0 0\n"
+        "l = 2: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 2 2 2 2 2 2 2 2 2 2 2 2 1 1 1 1 1 1 1 1\n"
         "l = 4: unsolvable\n"
         "cyclic_index = 2\n"
     )),
@@ -743,9 +743,9 @@ def test_pinned_rho_is_the_per_edge_iteration_within_tolerance(graph, stdout):
 
 
 # `analyze` on two blow-ups whose blocks are twin vertices: the s=3 power
-# of K6 has its basis built on every edge, the s=4 power of K40 (780 >= 4n
-# edges) on a sample; the witnesses pin the pivot rows of the all-ones
-# walk's basis
+# of K6 is eliminated on every edge, the s=4 power of K40 (780 >= 4n
+# edges) on a sample; the witnesses pin the pivots of the all-ones
+# elimination, where each twin of an eliminated vertex is free (x = 0)
 GOLDEN_TWIN_POWER_OUTPUT = {
     (6, 3): (
         "uniform 6\n"
@@ -753,7 +753,7 @@ GOLDEN_TWIN_POWER_OUTPUT = {
         "edges 15\n"
         "l = 1: solvable, coloring = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
         "l = 2: unsolvable\n"
-        "l = 3: solvable, coloring = 0 0 4 2 0 2 0 0 4 0 0 4 0 0 4 0 0 4\n"
+        "l = 3: solvable, coloring = 1 0 0 1 0 0 1 0 0 1 0 0 1 0 0 1 0 0\n"
         "l = 6: unsolvable\n"
         "cyclic_index = 3\n"
     ),
@@ -766,16 +766,16 @@ GOLDEN_TWIN_POWER_OUTPUT = {
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
         "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
-        "l = 2: solvable, coloring = 0 0 0 2 6 0 0 4 0 0 0 2 0 0 0 2 6 0 0 4 0 "
-        "0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 "
+        "l = 2: solvable, coloring = 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 "
         "0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 "
         "2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 "
-        "0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2\n"
-        "l = 4: solvable, coloring = 0 0 0 5 3 0 0 2 0 0 0 5 0 0 0 5 3 0 0 2 0 "
-        "0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 "
-        "0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 "
-        "5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 "
-        "0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5 0 0 0 5\n"
+        "0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 "
+        "0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0 2 0 0 0\n"
+        "l = 4: solvable, coloring = 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 "
+        "0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 "
+        "1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 "
+        "0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 "
+        "0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0 1 0 0 0\n"
         "l = 8: unsolvable\n"
         "cyclic_index = 4\n"
     ),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import hypersym.modular
 from hypersym import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -17,9 +18,11 @@ from hypersym import (
     incidence_matrix,
     nikiforov,
     path,
+    single_edge,
     solve_linear_mod,
 )
-from hypersym.modular import _SpanBasis
+from hypersym.modular import _eliminate
+from hypersym.symmetry import _index_generator
 
 from helpers import DenseSpanBasis, enumeration_solvable, mat_vec_mod, random_hypergraph
 
@@ -55,7 +58,7 @@ def test_solve_single_entry():
 
 def test_solver_self_check_raises_on_a_non_solution(monkeypatch):
     a = ModMatrix(2, [[1, 1], [0, 1]])
-    monkeypatch.setattr(_SpanBasis, "express", lambda self, target: (1, [0, 0, 0]))
+    monkeypatch.setattr(hypersym.modular, "_eliminate", lambda *args: (1, [0, 0, 0]))
     with pytest.raises(InternalConsistencyError, match=r"^solver produced a non-solution$"):
         solve_linear_mod(a, [1, 1])
 
@@ -63,7 +66,7 @@ def test_solver_self_check_raises_on_a_non_solution(monkeypatch):
 def test_solver_self_check_reads_the_weights(monkeypatch):
     # x = 2 solves x = 2 but not 2x = 2 (mod 5): a check that read the
     # entry 2 as a 0/1 incidence would pass it
-    monkeypatch.setattr(_SpanBasis, "express", lambda self, target: (1, [0, 2]))
+    monkeypatch.setattr(hypersym.modular, "_eliminate", lambda *args: (1, [0, 2]))
     with pytest.raises(InternalConsistencyError, match=r"^solver produced a non-solution$"):
         solve_linear_mod(ModMatrix(5, [[2]]), [2])
 
@@ -151,49 +154,33 @@ def _image(dense, x, modulus):
     return [sum(e * v for e, v in zip(row, x)) % modulus for row in dense]
 
 
-def _assert_same_basis(rng, modulus, width, rows, weights, dense):
-    """Coefficient-only basis against the dense-vector oracle, whose pivot
-    rule and elimination order differ: the same pivot positions in the
-    same order and the same pivot values, each pivot row zero before its
-    position. For every divisor target (all-ones among them), random
-    target and target with a planted solution, the walk solves
-    A x = a * target; a = 1 exactly when the oracle expresses the target,
-    and a is the least divisor d of m whose d * target the oracle
-    expresses, or 0 when that is m. The same holds for the matrix with
+def _assert_generator_matches_oracle(rng, modulus, width, rows, weights, dense):
+    """`_eliminate` against the dense transposed basis. For every divisor
+    target (all-ones among them), random target and target with a planted
+    solution, it returns (g, x) with A x = g * target, g dividing m and g
+    the least d whose d * target the oracle expresses; so g = 1 exactly
+    when the target is in the span. The same holds for the matrix with
     its columns in reverse order, checked against the oracle on the
-    original order. `rows` number columns from 1, and every coefficient
-    vector has a leading zero slot that the oracle's lacks."""
-    old = DenseSpanBasis(modulus, dense)
+    original order. `rows` number columns from 1, and x has a leading
+    zero slot that the oracle's lacks."""
+    oracle = DenseSpanBasis(modulus, dense)
     k = len(dense)
     targets = [[modulus // ell] * k for ell in divisors(modulus)]
     for _ in range(3):
         targets.append([rng.randrange(modulus) for _ in range(k)])
         x = [rng.randrange(modulus) for _ in range(width)]
         targets.append(_image(dense, x, modulus))
-    expected = [
-        (
-            old.express(target) is not None,
-            next(
-                d for d in divisors(modulus)
-                if old.express([d * w for w in target]) is not None
-            ),
-        )
+    least = [
+        next(d for d in divisors(modulus) if oracle.express([d * w for w in target]) is not None)
         for target in targets
     ]
     flipped = [[width + 1 - j for j in cols] for cols in rows]
     for cols, matrix in ((rows, dense), (flipped, [row[::-1] for row in dense])):
-        new = _SpanBasis(modulus, width, cols, weights)
-        assert list(new.pivots) == list(old.pivots)
-        for pos, (p, pcoef) in new.pivots.items():
-            assert p == old.pivots[pos][0]
-            assert pcoef[0] == 0
-            assert _image(matrix, pcoef[1:], modulus)[: pos + 1] == [0] * pos + [p]
-        for target, (in_span, least) in zip(targets, expected):
-            a, x = new.express(target)
-            assert x[0] == 0
-            assert _image(matrix, x[1:], modulus) == [a * w % modulus for w in target]
-            assert (a == 1) == in_span
-            assert a == least % modulus
+        for target, d in zip(targets, least):
+            g, x = _eliminate(modulus, width, cols, weights, target)
+            assert x[0] == 0 and len(x) == width + 1
+            assert _image(matrix, x[1:], modulus) == [g * w % modulus for w in target]
+            assert modulus % g == 0 and g == d
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
@@ -210,7 +197,9 @@ def test_span_basis_matches_dense_oracle_on_random_incidences(t):
             # and zero columns meet in every case
             dense = [row + (0, 0) for row in incidence_matrix(g)]
             for q in (t, 2 * t, 3 * t):
-                _assert_same_basis(rng, q, g.vertex_count + 2, g.edges, None, dense)
+                _assert_generator_matches_oracle(
+                    rng, q, g.vertex_count + 2, g.edges, None, dense
+                )
 
 
 def test_span_basis_matches_dense_oracle_on_family_and_power():
@@ -218,9 +207,9 @@ def test_span_basis_matches_dense_oracle_on_family_and_power():
     base = nikiforov(NikiforovParams(1, 6, 6, 4))
     power, _ = generalized_power(base, 8, 2)
     for g in (base, power):
-        t = g.uniformity
+        t, dense = g.uniformity, incidence_matrix(g)
         for q in (t, 2 * t, 3 * t):
-            _assert_same_basis(rng, q, g.vertex_count, g.edges, None, incidence_matrix(g))
+            _assert_generator_matches_oracle(rng, q, g.vertex_count, g.edges, None, dense)
 
 
 def test_span_basis_matches_dense_oracle_on_random_matrices():
@@ -234,38 +223,28 @@ def test_span_basis_matches_dense_oracle_on_random_matrices():
         ]
         cols = [[j for j, a in enumerate(row, 1) if a] for row in dense]
         weights = [[row[j - 1] for j in c] for row, c in zip(dense, cols)]
-        _assert_same_basis(rng, m, n, cols, weights, dense)
+        _assert_generator_matches_oracle(rng, m, n, cols, weights, dense)
 
 
-@pytest.mark.parametrize("q", [2, 4])
-@pytest.mark.parametrize("family", [path, cycle])
-def test_span_basis_holds_one_coefficient_vector_per_column(family, q):
-    # n columns of n + 1 slots each: a row that folds into a pivot or
-    # becomes one leaves no second copy of its coefficients behind
-    g = family(800)
-    n = g.vertex_count
+@pytest.mark.parametrize(
+    "graph", [path(4000), cycle(4000), single_edge(6000)], ids=["path", "cycle", "single_edge"]
+)
+def test_index_generator_memory_is_linear(graph):
+    # one dict per row of the system, with no n-slot vector per column:
+    # 2.7 MB on path(4000), where n^2 slots would take 128 MB
     tracemalloc.start()
     try:
-        _SpanBasis(q, n, g.edges)
+        _index_generator(graph, graph.uniformity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * (n + 1) * 8
+    assert peak < 20_000_000
 
 
-@pytest.mark.parametrize("modulus", [8, 16])
-def test_twin_kernel_rows_scan_to_zero(modulus):
-    # the two members of a vertex block of the s=2 power lie in the same
-    # edges: their difference is a kernel row, which `_scan` finds zero
-    # at every edge
-    power, layout = generalized_power(nikiforov(NikiforovParams(1, 6, 6, 4)), 8, 2)
-    basis = _SpanBasis(modulus, power.vertex_count, power.edges)
-    k = power.edge_count
-    for a, b in layout.vertex_blocks:
-        coef = [0] * (power.vertex_count + 1)
-        coef[a], coef[b] = 1, modulus - 1
-        assert basis._scan(coef, 0) == (k, 0)
-    # a single member is nonzero first at its first edge
-    coef[b] = 0
-    first = next(pos for pos, edge in enumerate(power.edges) if a in edge)
-    assert basis._scan(coef, 0) == (first, 1)
+def test_a_residual_off_its_pivot_fails_back_substitution(monkeypatch):
+    # 2 x = b over Z_4 is the row 2 x + 3 b = 0, whose annihilator row
+    # 2 b = 0 makes g = 2; a g of 1 leaves the residual 3 at the pivot 2
+    monkeypatch.setattr(hypersym.modular, "lcm", lambda *args: 1)
+    message = "back-substitution over Z_4: pivot 2 does not divide residual 3"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        solve_linear_mod(ModMatrix(4, [[2]]), [1])

@@ -135,6 +135,12 @@ def test_shortcut_agrees_with_full_computation():
         m = 2 * s + rng.choice([1, 2])
         g, _ = generalized_power(base, m, s)
         assert cyclic_index(g).cyclic_index == power_cyclic_index_shortcut(base, m, s)
+    # the `--m 9` power of the (12,12,8) family: one padding vertex per
+    # edge, 9,040 vertices in all
+    base = nikiforov(NikiforovParams(1, 12, 12, 8))
+    g, _ = generalized_power(base, 9, 2)
+    assert g.vertex_count == 9040
+    assert cyclic_index(g).cyclic_index == power_cyclic_index_shortcut(base, 9, 2) == 9
 
 
 def test_block_constant_lift_preserves_symmetry_order():
@@ -247,10 +253,10 @@ def test_power_index_from_base_matches_built_power_random():
 
 
 def test_built_power_witnesses_verify():
-    # every witness of a built power scales one proved walk's x and is not
-    # re-checked by `cyclic_index`: here each one passes the edge sums, the
-    # verdicts are the per-divisor oracle's, and many powers solve more
-    # than one order above 1
+    # every witness of a built power scales one proved elimination's x and
+    # is not re-checked by `cyclic_index`: here each one passes the edge
+    # sums, the verdicts are the per-divisor oracle's, and many powers
+    # solve more than one order above 1
     rng = random.Random(47)
     several = 0
     for _ in range(40):

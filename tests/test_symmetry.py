@@ -1,7 +1,5 @@
 import itertools
 import random
-from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from hypersym import (
     single_edge,
     verify_coloring,
 )
-from hypersym.modular import _SpanBasis
+from hypersym.modular import _eliminate
 from hypersym.cli import main
 from hypersym.fileio import write_hypergraph
 from hypersym.symmetry import _index_generator
@@ -167,9 +165,8 @@ def test_generator_walk_matches_per_divisor_oracle(rng, t, factor):
     graph = random_connected_hypergraph(rng, t, n_max=t + 4)
     q = factor * t
     oracle = per_divisor_report(graph, q)
-    basis = _SpanBasis(q, graph.vertex_count, graph.edges)
-    a, _ = basis.express([1] * graph.edge_count)
-    assert gcd(a, q) == q // oracle.cyclic_index
+    g, _ = _eliminate(q, graph.vertex_count, graph.edges)
+    assert g == q // oracle.cyclic_index
     if q == t:
         _assert_verdicts_match_oracle(graph)
 
@@ -188,14 +185,14 @@ def _assert_verdicts_match_oracle(graph):
 
 
 def test_walk_witness_may_differ_from_the_per_divisor_witness():
-    # the l = 2 witness is 2 times the walk's x, not the oracle's own
-    # solution of B x = 2 * 1; both verify
-    rows = "1267 1289 1346 1349 1458 1679 2467 3456".split()
+    # the l = 2 witness is 2 times the elimination's x, not the oracle's
+    # own solution of B x = 2 * 1; both verify
+    rows = "1246 1257 1357 1567 2359 2378 2459 4589".split()
     graph = build_hypergraph(4, 9, [[int(v) for v in row] for row in rows])
     _assert_verdicts_match_oracle(graph)
-    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 2, 0, 2, 2, 2, 0, 0, 2))
+    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 0, 0, 0, 2, 0, 2, 0, 0))
     assert per_divisor_report(graph, 4).divisor_evidence[2] == Coloring(
-        4, (0, 2, 0, 0, 0, 2, 2, 2, 2)
+        4, (0, 2, 2, 2, 0, 2, 0, 2, 2)
     )
 
 
@@ -208,15 +205,15 @@ def test_all_ones_walk_self_check_raises(monkeypatch):
         cyclic_index(cycle(4))
 
 
-def _faulty_basis(proved):
-    """A `_SpanBasis` stand-in whose every walk returns `proved`."""
-    return lambda modulus, width, rows: SimpleNamespace(express=lambda target: proved)
+def _faulty_elimination(proved):
+    """An `_eliminate` stand-in that always returns `proved`."""
+    return lambda modulus, width, rows: proved
 
 
 def test_witness_self_check_raises(monkeypatch, tmp_path, capsys):
-    # a = 1 with x = 0 claims B x = 1 on C4, but every edge sums to 0:
-    # the proof pass refuses the walk before any witness is built
-    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", _faulty_basis((1, [0] * 5)))
+    # g = 1 with x = 0 claims B x = 1 on C4, but every edge sums to 0:
+    # the proof pass refuses x before any witness is built
+    monkeypatch.setattr(hypersym.symmetry, "_eliminate", _faulty_elimination((1, [0] * 5)))
     message = "all-ones walk over Z_2 fails edge-sum verification"
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         cyclic_index(cycle(4))
@@ -229,35 +226,19 @@ def test_witness_self_check_raises(monkeypatch, tmp_path, capsys):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), q=st.integers(2, 36))
 def test_the_all_ones_walk_returns_its_generator(data, q):
-    # a is g = gcd(a, q) itself, or 0 when g = q, not just a multiple of g
+    # g is a divisor of q, and every edge sums to it
     n = data.draw(st.integers(2, 7))
     t = data.draw(st.integers(2, n))
     pool = list(itertools.combinations(range(1, n + 1), t))
     edges = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
-    a, x = _SpanBasis(q, n, edges).express(itertools.repeat(1))
-    assert a % q == gcd(a, q) % q
-    assert all(sum(x[v] for v in e) % q == a for e in edges)
-
-
-def test_a_walk_whose_a_is_not_g_fails_the_witness_check(monkeypatch, tmp_path, capsys):
-    # B x = 5 * 1 over Z_6 on one 6-uniform edge passes the proof pass,
-    # but g = gcd(5, 6) = 1, so the order 3 witness (2/g) * x would sum
-    # to 4, not 2: the O(1) check that a is g refuses the walk
-    monkeypatch.setattr(
-        hypersym.symmetry, "_SpanBasis", _faulty_basis((5, [0, 5, 0, 0, 0, 0, 0]))
-    )
-    message = "all-ones walk over Z_6 gives a = 5, not its generator 1"
-    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
-        cyclic_index(single_edge(6))
-    target = tmp_path / "e6.hg"
-    write_hypergraph(single_edge(6), target)
-    assert main(["analyze", str(target)]) == 7
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    g, x = _eliminate(q, n, edges)
+    assert q % g == 0
+    assert all(sum(x[v] for v in e) % q == g % q for e in edges)
 
 
 def _dense_connected(rng, t):
     """A connected t-uniform graph with more than 4n edges, so that the
-    sampled walk starts from a proper subset of them."""
+    sampled elimination starts from a proper subset of them."""
     n = {2: 10, 3: 7, 4: 7, 5: 8, 6: 9}[t] + rng.randint(0, 1)
     pool = list(itertools.combinations(range(1, n + 1), t))
     while True:
@@ -305,25 +286,25 @@ def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
     g, x = _index_generator(graph, q)
     _assert_generator(graph, q, g, x)
     if planted:
-        # the witnesses of the orders above 1 scale the sampled walk's x
+        # the witnesses of the orders above 1 scale the sampled elimination's x
         assert per_divisor_report(graph, t).cyclic_index > 1
         _assert_verdicts_match_oracle(graph)
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
-    # with nikiforov's own labels the walk over Z_4 on the first 65-edge
-    # sample of the 4-uniform (12,12,8) family fails the edge-sum pass;
-    # the first 65 edges that miss join the sample, and the second walk
-    # passes. Every witness scales that walk's x, so no basis of all
-    # 8,976 edges is built
+    # with nikiforov's own labels the elimination over Z_4 on the first
+    # 65-edge sample of the 4-uniform (12,12,8) family fails the edge-sum
+    # pass; the first 65 edges that miss join the sample, and the second
+    # elimination passes. Every witness scales its x, so the system of
+    # all 8,976 edges is never eliminated
     graph = nikiforov(NikiforovParams(1, 12, 12, 8))
     built = []
 
     def counting(modulus, width, rows):
         built.append(len(rows))
-        return _SpanBasis(modulus, width, rows)
+        return _eliminate(modulus, width, rows)
 
-    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
+    monkeypatch.setattr(hypersym.symmetry, "_eliminate", counting)
     report = cyclic_index(graph)
     assert built == [65, 130]
     monkeypatch.undo()
@@ -339,9 +320,9 @@ def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
 
     def counting(modulus, width, rows):
         built.append(len(rows))
-        return _SpanBasis(modulus, width, rows)
+        return _eliminate(modulus, width, rows)
 
-    monkeypatch.setattr(hypersym.symmetry, "_SpanBasis", counting)
+    monkeypatch.setattr(hypersym.symmetry, "_eliminate", counting)
     monkeypatch.setattr(CountedEdges, "reads", 0)
     g, x = _index_generator(graph._replace(edges=CountedEdges(graph.edges)), q)
     assert built == [65, 130]
