@@ -226,6 +226,23 @@ def test_span_basis_matches_dense_oracle_on_random_matrices():
         _assert_generator_matches_oracle(rng, m, n, cols, weights, dense)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("family", [path, cycle])
+def test_span_basis_holds_one_coefficient_vector_per_column(family, q):
+    # the elimination that builds the span holds at most one coefficient
+    # vector of n + 1 slots per column: a row that folds into a pivot or
+    # becomes one leaves no second copy of its entries behind
+    g = family(800)
+    n = g.vertex_count
+    tracemalloc.start()
+    try:
+        _eliminate(q, n, g.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * (n + 1) * 8
+
+
 @pytest.mark.parametrize(
     "graph", [path(4000), cycle(4000), single_edge(6000)], ids=["path", "cycle", "single_edge"]
 )
