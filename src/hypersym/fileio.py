@@ -38,18 +38,26 @@ def _header_value(line: str, number: int, keyword: str) -> int:
     return value
 
 
+class _Ints(dict):
+    """Token -> int(token), converting each distinct token once."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = value = int(token)
+        return value
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse hypergraph text; all failures carry a 1-based line number.
 
     The text is split into lines once and the two headers are read.
     The edge lines, without blank and comment lines, are converted to
-    integer tuples in C-level passes, up to the first line with a token
-    that is not an integer, and the converted rows are built by the
-    builder of `build_hypergraph`. Its error is reported at the line of
-    the edge it names (the error's `index`), or at the line of the bad
-    header value: `uniform` for a uniformity below 2, else `vertices`.
-    Only then is a line that is not all integers reported, so the first
-    faulty line wins.
+    integer tuples in C-level passes, each distinct token by `int` once,
+    up to the first line with a token that is not an integer, and the
+    converted rows are built by the builder of `build_hypergraph`. Its
+    error is reported at the line of the edge it names (the error's
+    `index`), or at the line of the bad header value: `uniform` for a
+    uniformity below 2, else `vertices`. Only then is a line that is not
+    all integers reported, so the first faulty line wins.
     """
     lines = text.splitlines()
     significant = _significant_lines(lines)
@@ -71,7 +79,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         body = [line for _, line in _significant_lines(body)]
     rows: list[tuple[int, ...]] = []
     try:
-        rows.extend(map(tuple, map(map, repeat(int), map(str.split, body))))
+        rows.extend(map(tuple, map(map, repeat(_Ints().__getitem__), map(str.split, body))))
     except ValueError:
         pass  # `rows` holds the lines before the first that is not all integers
     try:

@@ -7,9 +7,8 @@ composite modulus. All arithmetic stays in [0, m), so entries never grow.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from heapq import heapify, heappop, heappush
-from itertools import repeat
+from collections import Counter, defaultdict
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -120,79 +119,71 @@ def _eliminate(
     incidence); `rhs` is all ones when None. Callers pass program-built
     data; `ModMatrix` is the checked entry point for anything else.
 
-    Each row of the system [A | -rhs] (x, b) = 0 is a dict {column:
-    entry}, with column 0 holding -rhs. Columns are eliminated cheapest
-    first: the one in the fewest pool rows, from a lazy heap. There the
-    row with the fewest entries (then the lowest id) is the pivot, every
-    other row folds into it by a 2x2 unimodular step, the pivot is scaled
-    by a unit to p = gcd(entry, q) and leaves the pool, and its
-    annihilator row (q/p) * pivot, zero at the column, joins the pool
-    (Howell's construction). A column in no pool row is free, x = 0.
-    The rows left read c * b = 0, so b is a multiple of g = lcm(q/gcd(c, q)).
-    Back-substitution with b = g, in reverse order, needs p to divide the
-    pivot's residual; the annihilator row, which the later columns and b
-    satisfy, makes it so, and a residual off p is an internal error.
+    Each row of the system [A | -rhs] (x, b) = 0 is a dict {rank: entry}.
+    The columns are ranked once, by how many input rows hold them (then
+    by number), and -rhs is ranked last. Each row is filed under its
+    lowest rank, and the ranks are swept in order. In a bucket the row
+    with the fewest entries is the pivot, every other row, shortest
+    first, folds into it by a 2x2 unimodular step, the pivot is scaled
+    by a unit to p = gcd(entry, q), and its annihilator row
+    (q/p) * pivot, zero at the rank, is filed again (Howell's
+    construction). A folded row or an annihilator row holds only ranks
+    after the bucket's, so each column is eliminated once; a column that
+    reaches no bucket is free, x = 0. The rows in the last bucket read
+    c * b = 0, so b is a multiple of g = lcm(q/gcd(c, q)).
+    Back-substitution with b = g, in reverse order, needs p to divide
+    the pivot's residual; the annihilator row, which the later columns
+    and b satisfy, makes it so, and a residual off p is an internal
+    error.
     """
-    pool: dict[int, dict[int, int]] = {}
-    where: dict[int, set[int]] = defaultdict(set)  # column -> ids of its rows
+    counts = Counter(chain.from_iterable(rows))
+    order = sorted(counts, key=lambda c: (counts[c], c))
+    n = len(order)  # the rank of -rhs
+    rank = dict(zip(order, range(n)))
+    buckets: dict[int, list[dict[int, int]]] = defaultdict(list)  # rank -> rows
 
-    def refile(i: int, old: dict, new: dict) -> set[int]:
-        """Move row i in `where` from the columns of `old` to those of
-        `new`; return the columns whose rows changed."""
-        changed = old.keys() ^ new.keys()
-        for c in changed:
-            (where[c].add if c in new else where[c].discard)(i)
-        return changed
+    def file(row: dict) -> None:
+        if row:
+            buckets[min(row)].append(row)
 
     for i, (cols, b) in enumerate(zip(rows, repeat(1) if rhs is None else rhs)):
-        pool[i] = row = dict(zip(cols, repeat(1) if weights is None else weights[i]))
+        row = dict(zip(map(rank.__getitem__, cols), repeat(1) if weights is None else weights[i]))
         if b % q:
-            row[0] = -b % q
-        refile(i, {}, row)
-    heap = [(len(ids), c) for c, ids in where.items()]
-    heapify(heap)
+            row[n] = -b % q
+        file(row)
     pivots = []
-    while heap:
-        count, j = heappop(heap)
-        ids = where[j]
-        if not (j and ids and count == len(ids)):
-            continue  # column 0, an eliminated column or a stale count
-        pid = min(ids, key=lambda i: (len(pool[i]), i))
-        pivot = pool.pop(pid)
-        touched = refile(pid, pivot, {})
+    for j in range(n):
+        if j not in buckets:
+            continue
+        pivot, *rest = sorted(buckets.pop(j), key=len)
         a = pivot[j]
-        for i in sorted(ids):
-            row = pool[i]
+        for row in rest:
             e = row[j]
             g, s, t = _xgcd(a, e) if e % a else (a, 1, 0)
             # det [[s, t], [-e/g, a/g]] = (s*a + t*e)/g = 1: invertible over
             # Z_q. The pivot's entry becomes g, the row's 0.
-            pool[i] = new = _combine(a // g, row, -(e // g), pivot, q)
+            file(_combine(a // g, row, -(e // g), pivot, q))
             if t:
                 pivot = _combine(s, pivot, t, row, q)
             a = g
-            touched |= refile(i, row, new)
         unit = _unit_for(a, q)
         p = unit * a % q
-        pivot = _combine(unit, pivot, 0, {}, q)
+        # a unit of 1 changes nothing, and p = 1 makes the annihilator zero
+        if unit > 1:
+            pivot = _combine(unit, pivot, 0, {}, q)
         pivots.append((j, p, pivot))
-        annihilator = _combine(q // p, pivot, 0, {}, q)
-        if annihilator:
-            i = len(rows) + len(pivots)
-            pool[i] = annihilator
-            touched |= refile(i, {}, annihilator)
-        for c in touched:
-            heappush(heap, (len(where[c]), c))
-    g = lcm(*(q // gcd(row.get(0, 0), q) for row in pool.values()))
-    x = [g % q] + [0] * width
+        if p > 1:
+            file(_combine(q // p, pivot, 0, {}, q))
+    g = lcm(*(q // gcd(row[n], q) for row in buckets[n]))
+    y = [0] * n + [g % q]  # (x, b) by rank
+    x = [0] * (width + 1)
     for j, p, pivot in reversed(pivots):
-        r = sum(e * x[c] for c, e in pivot.items()) % q
+        r = sum(e * y[c] for c, e in pivot.items()) % q
         if r % p:
             raise InternalConsistencyError(
                 f"back-substitution over Z_{q}: pivot {p} does not divide residual {r}"
             )
-        x[j] = -r % q // p
-    x[0] = 0
+        y[j] = x[order[j]] = -r % q // p
     return g, x
 
 

@@ -18,6 +18,7 @@ from hypersym import (
     cycle,
     cyclic_index,
     divisors,
+    generalized_power,
     is_connected,
     nikiforov,
     single_edge,
@@ -187,12 +188,12 @@ def _assert_verdicts_match_oracle(graph):
 def test_walk_witness_may_differ_from_the_per_divisor_witness():
     # the l = 2 witness is 2 times the elimination's x, not the oracle's
     # own solution of B x = 2 * 1; both verify
-    rows = "1246 1257 1357 1567 2359 2378 2459 4589".split()
+    rows = "1458 1589 2357 2367 3489 3589 4678 5689".split()
     graph = build_hypergraph(4, 9, [[int(v) for v in row] for row in rows])
     _assert_verdicts_match_oracle(graph)
-    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 0, 0, 0, 2, 0, 2, 0, 0))
+    assert cyclic_index(graph).divisor_evidence[2] == Coloring(4, (2, 0, 2, 2, 2, 2, 2, 0, 2))
     assert per_divisor_report(graph, 4).divisor_evidence[2] == Coloring(
-        4, (0, 2, 2, 2, 0, 2, 0, 2, 2)
+        4, (0, 2, 0, 0, 0, 0, 0, 2, 0)
     )
 
 
@@ -292,12 +293,12 @@ def test_sampled_generator_matches_per_divisor_oracle(rng, t, factor, planted):
 
 
 def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
-    # with nikiforov's own labels the elimination over Z_4 on the first
-    # 65-edge sample of the 4-uniform (12,12,8) family fails the edge-sum
-    # pass; the first 65 edges that miss join the sample, and the second
+    # the elimination over Z_12 on the first 105-edge sample of the
+    # 12-uniform s=3 power of the (6,6,4) family fails the edge-sum pass;
+    # the first 90 edges that miss join the sample, and the second
     # elimination passes. Every witness scales its x, so the system of
-    # all 8,976 edges is never eliminated
-    graph = nikiforov(NikiforovParams(1, 12, 12, 8))
+    # all 420 edges is never eliminated
+    graph, _ = generalized_power(nikiforov(NikiforovParams(1, 6, 6, 4)), 12, 3)
     built = []
 
     def counting(modulus, width, rows):
@@ -306,16 +307,29 @@ def test_sampled_generator_grows_its_sample_on_the_family(monkeypatch):
 
     monkeypatch.setattr(hypersym.symmetry, "_eliminate", counting)
     report = cyclic_index(graph)
-    assert built == [65, 130]
+    assert built == [105, 195]
     monkeypatch.undo()
-    assert report.cyclic_index == per_divisor_report(graph, 8).cyclic_index
+    assert report.cyclic_index == per_divisor_report(graph, 12).cyclic_index
 
 
-@pytest.mark.parametrize("q", [4, 8, 12])
-def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
-    # on this family every modulus needs a second round; a failed round
-    # collects the edges that miss from the same pass that finds them
-    graph = nikiforov(NikiforovParams(1, 12, 12, 8))
+_FAMILY12 = nikiforov(NikiforovParams(1, 12, 12, 8))
+_POWER3 = generalized_power(nikiforov(NikiforovParams(1, 6, 6, 4)), 12, 3)[0]
+
+
+@pytest.mark.parametrize("graph,q,rounds", [
+    # with `nikiforov`'s own labels the 65-edge sample of the (12,12,8)
+    # family proves its x over Z_4 and Z_8, but over Z_12 it misses
+    pytest.param(_FAMILY12, 4, [65], id="4"),
+    pytest.param(_FAMILY12, 8, [65], id="8"),
+    pytest.param(_FAMILY12, 12, [65, 130], id="12"),
+    # every modulus of the (6,6,4) s=3 power needs a second round
+    pytest.param(_POWER3, 12, [105, 195], id="s3-12"),
+    pytest.param(_POWER3, 24, [105, 195], id="s3-24"),
+    pytest.param(_POWER3, 36, [105, 195], id="s3-36"),
+])
+def test_each_walk_round_reads_the_edges_once(monkeypatch, graph, q, rounds):
+    # a failed round collects the edges that miss from the same pass that
+    # finds them
     built = []
 
     def counting(modulus, width, rows):
@@ -325,6 +339,6 @@ def test_each_walk_round_reads_the_edges_once(monkeypatch, q):
     monkeypatch.setattr(hypersym.symmetry, "_eliminate", counting)
     monkeypatch.setattr(CountedEdges, "reads", 0)
     g, x = _index_generator(graph._replace(edges=CountedEdges(graph.edges)), q)
-    assert built == [65, 130]
+    assert built == rounds
     assert CountedEdges.reads == len(built)
     _assert_generator(graph, q, g, x)
